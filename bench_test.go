@@ -234,7 +234,8 @@ func benchEvents(n int) []ir.Event {
 }
 
 // BenchmarkAblationInterpretedMonitor measures monitor event processing
-// through the IR interpreter (the deployment default).
+// through the IR interpreter (the differential reference; deployments run
+// the closure-compiled engine).
 func BenchmarkAblationInterpretedMonitor(b *testing.B) {
 	res, err := health.New().Compile()
 	if err != nil {
@@ -273,7 +274,8 @@ func BenchmarkAblationGeneratedMonitor(b *testing.B) {
 
 // BenchmarkAblationPersistentMonitor measures event delivery with monitor
 // state in (simulated) FRAM with per-event atomic commits — the full
-// power-failure-resilient path — against the volatile baselines above.
+// power-failure-resilient path, stepped by the compiled engine every
+// monitor.Set runs — against the volatile baselines above.
 func BenchmarkAblationPersistentMonitor(b *testing.B) {
 	res, err := health.New().Compile()
 	if err != nil {

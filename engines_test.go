@@ -1,11 +1,11 @@
-// Differential proof that the closure-compiled monitor engine and the IR
-// interpreter are indistinguishable at system level: every example spec runs
-// through both, asserting byte-identical verdict streams, FSM trajectories,
-// NVM images, and reports — uninterrupted, under injected power failures,
-// and across an over-the-air spec swap (which must fall back to the
-// interpreter). The expression-level counterpart lives in
-// internal/codegen/compile_test.go; this file holds the whole deployment to
-// the same contract.
+// Differential proof that the closure-compiled monitor engine, which every
+// deployment runs, and the IR interpreter, its reference, are
+// indistinguishable at system level: every example spec runs through both,
+// asserting byte-identical verdict streams, FSM trajectories, NVM images, and
+// reports — uninterrupted, under injected power failures, and across an
+// over-the-air spec swap (whose installed set runs compiled too). The
+// expression-level counterpart lives in internal/codegen/compile_test.go;
+// this file holds the whole deployment to the same contract.
 package bench
 
 import (
@@ -42,12 +42,12 @@ type engineOutcome struct {
 	engines   map[string]string
 }
 
-// runEngine builds cfg under the chosen engine, runs it to the end, and
-// captures the outcome. crashAfter > 0 injects a power failure after that
-// many persistent write operations, explorePoint-style.
+// runEngine builds cfg, switches its monitor set to the reference
+// interpreter when interpret is set, runs it to the end, and captures the
+// outcome. crashAfter > 0 injects a power failure after that many persistent
+// write operations, explorePoint-style.
 func runEngine(t *testing.T, cfg core.Config, interpret bool, crashAfter int) engineOutcome {
 	t.Helper()
-	cfg.InterpretMonitors = interpret
 	var decisions []string
 	cfg.OnDecision = func(ev monitor.Event, d monitor.Decision) {
 		decisions = append(decisions, fmt.Sprintf("seq=%d %v -> action=%v path=%d by=%s",
@@ -58,6 +58,9 @@ func runEngine(t *testing.T, cfg core.Config, interpret bool, crashAfter int) en
 		t.Fatal(err)
 	}
 	defer f.Release()
+	if interpret {
+		f.Monitors().Interpret()
+	}
 	if crashAfter > 0 {
 		mem := f.MCU().Mem
 		clock := f.MCU().Clock
@@ -145,8 +148,8 @@ func diffOutcomes(t *testing.T, name string, interp, comp engineOutcome) {
 
 // TestEngineEquivalenceExamples runs every example deployment through both
 // engines and asserts byte-identical behaviour, plus that engine selection
-// actually took effect (a silent interpreter fallback would make the
-// equivalence vacuous).
+// actually took effect (two runs on one engine would make the equivalence
+// vacuous).
 func TestEngineEquivalenceExamples(t *testing.T) {
 	for _, c := range examplespecs.All() {
 		t.Run(c.Name, func(t *testing.T) {
@@ -163,7 +166,7 @@ func TestEngineEquivalenceExamples(t *testing.T) {
 			diffOutcomes(t, c.Name, interp, comp)
 			for name, eng := range interp.engines {
 				if eng != "interpreter" {
-					t.Errorf("machine %s: InterpretMonitors run used engine %q", name, eng)
+					t.Errorf("machine %s: interpreted run used engine %q", name, eng)
 				}
 			}
 			for name, eng := range comp.engines {
@@ -242,12 +245,13 @@ func TestEngineEquivalenceUnderChaos(t *testing.T) {
 	}
 }
 
-// TestOTASwapFallsBackToInterpreter proves the OTA contract: a monitor set
-// installed by an over-the-air spec swap always runs on the interpreter
-// (the closure engine is wired only at deployment build), and the whole
-// swapped run is byte-identical whether the pre-swap monitors ran compiled
-// or interpreted.
-func TestOTASwapFallsBackToInterpreter(t *testing.T) {
+// TestOTASwapRunsCompiled proves the OTA contract: a monitor set installed
+// by an over-the-air spec swap runs on the compiled engine like the factory
+// set, and the whole swapped run is byte-identical to the interpreted
+// reference, whose factory set runs on the interpreter. The swap target is
+// also deployed directly through both engines, so its machines are held to
+// the interpreter at system level too.
+func TestOTASwapRunsCompiled(t *testing.T) {
 	v2, err := health.CompiledSharedV2()
 	if err != nil {
 		t.Fatal(err)
@@ -265,17 +269,26 @@ func TestOTASwapFallsBackToInterpreter(t *testing.T) {
 	comp := runEngine(t, build(), false, 0)
 	diffOutcomes(t, "health+swap", interp, comp)
 
-	// Both runs must end on the swapped (interpreter) set.
+	// The run ends on the swapped set, which must run compiled.
 	for name, eng := range comp.engines {
-		if eng != "interpreter" {
-			t.Errorf("machine %s: post-swap engine %q, want interpreter", name, eng)
+		if eng != "compiled" {
+			t.Errorf("machine %s: post-swap engine %q, want compiled", name, eng)
 		}
 	}
 
-	// And the swap must actually have happened — otherwise the fallback
+	direct := func() core.Config {
+		cfg, err := examplespecs.HealthConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SpecSource, cfg.Compiled = "", v2
+		return cfg
+	}
+	diffOutcomes(t, "health-v2", runEngine(t, direct(), true, 0), runEngine(t, direct(), false, 0))
+
+	// And the swap must actually have happened — otherwise the engine
 	// assertion above is vacuous.
-	cfg := build()
-	f, err := core.New(cfg)
+	f, err := core.New(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +297,6 @@ func TestOTASwapFallsBackToInterpreter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.OTA() == nil || f.OTA().Stats().Swaps == 0 {
-		t.Fatal("OTA swap did not occur; fallback test is vacuous")
+		t.Fatal("OTA swap did not occur; the post-swap engine check is vacuous")
 	}
 }

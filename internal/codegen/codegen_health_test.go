@@ -68,16 +68,9 @@ func TestMachineNamesSorted(t *testing.T) {
 }
 
 // TestCompileProgramHealth: the closure compiler must cover every machine of
-// the flagship spec — if any machine silently falls back to the interpreter
-// the hot-path win evaporates without a test noticing.
+// the flagship spec — deployments have no other engine to run it on.
 func TestCompileProgramHealth(t *testing.T) {
-	p := codegen.CompileProgram(healthProgram(t))
-	if !p.Complete() {
-		for i := 0; i < p.Len(); i++ {
-			if p.Machine(i) == nil {
-				t.Errorf("machine %d did not compile", i)
-			}
-		}
-		t.Fatal("health program not fully compilable")
+	if _, err := codegen.CompileProgram(healthProgram(t)); err != nil {
+		t.Fatalf("health program not compilable: %v", err)
 	}
 }

@@ -174,48 +174,27 @@ func (cm *Machine) StepStaged(fr *Frame, sl Slots) ([]ir.Failure, error) {
 }
 
 // Program is a compiled ir.Program: one compiled machine per source
-// machine, in source order. Machines whose construct set the closure
-// compiler does not cover are left nil; their monitors keep the
-// interpreter (the supported set covers everything the transform emits, so
-// in practice a nil entry means a hand-written IR machine pushed past it).
+// machine, in source order.
 type Program struct {
 	machines []*Machine
 }
 
-// Len returns the number of machine slots (equal to the source program's).
-func (p *Program) Len() int { return len(p.machines) }
+// Machine returns the compiled machine at source index i.
+func (p *Program) Machine(i int) *Machine { return p.machines[i] }
 
-// Machine returns the compiled machine at source index i, or nil when that
-// machine fell back to the interpreter.
-func (p *Program) Machine(i int) *Machine {
-	if p == nil || i < 0 || i >= len(p.machines) {
-		return nil
-	}
-	return p.machines[i]
-}
-
-// Complete reports whether every source machine compiled.
-func (p *Program) Complete() bool {
-	for _, m := range p.machines {
-		if m == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// CompileProgram closure-compiles every machine of a program. Compilation
-// is total: a machine the compiler cannot handle yields a nil slot rather
-// than an error, so callers can always install the result and let
-// uncompiled machines keep the interpreter.
-func CompileProgram(p *ir.Program) *Program {
+// CompileProgram closure-compiles every machine of a program. It fails on
+// the first machine CompileMachine rejects; a checked program always
+// compiles.
+func CompileProgram(p *ir.Program) (*Program, error) {
 	out := &Program{machines: make([]*Machine, len(p.Machines))}
 	for i, m := range p.Machines {
-		if cm, err := CompileMachine(m); err == nil {
-			out.machines[i] = cm
+		cm, err := CompileMachine(m)
+		if err != nil {
+			return nil, err
 		}
+		out.machines[i] = cm
 	}
-	return out
+	return out, nil
 }
 
 // CompileMachine closure-compiles one machine. It fails on constructs whose

@@ -191,26 +191,21 @@ func TestCompileProgram(t *testing.T) {
 		src += tc.src + "\n"
 	}
 	prog := ir.MustParse(src)
-	cp := CompileProgram(prog)
-	if cp.Len() != len(prog.Machines) {
-		t.Fatalf("compiled %d machines, want %d", cp.Len(), len(prog.Machines))
-	}
-	if !cp.Complete() {
-		t.Fatal("checked program did not compile completely")
+	cp, err := CompileProgram(prog)
+	if err != nil {
+		t.Fatalf("checked program did not compile: %v", err)
 	}
 	for i, m := range prog.Machines {
-		if cp.Machine(i) == nil || cp.Machine(i).Name() != m.Name {
+		if cp.Machine(i).Name() != m.Name {
 			t.Fatalf("machine %d: compiled slot mismatch", i)
 		}
-	}
-	if cp.Machine(-1) != nil || cp.Machine(cp.Len()) != nil {
-		t.Fatal("out-of-range Machine() must be nil")
 	}
 }
 
 func TestCompileMachineRejectsUncheckable(t *testing.T) {
 	// Hand-built (unchecked) machines with constructs the compiler must
-	// refuse — they fall back to the interpreter rather than diverging.
+	// refuse rather than compile into something that diverges from the
+	// interpreter.
 	bad := []*ir.Machine{
 		{Name: "strvar", Initial: "S",
 			Vars:   []ir.VarDecl{{Name: "s", Type: ir.TString, Init: ir.Str("")}},
@@ -229,11 +224,11 @@ func TestCompileMachineRejectsUncheckable(t *testing.T) {
 			t.Errorf("machine %s: expected compile error", m.Name)
 		}
 	}
-	// A program containing one bad machine still compiles the others.
+	// One bad machine fails the whole program: there is no partial result
+	// to fall back from.
 	good := ir.MustParse(corpus[0].src).Machines[0]
-	cp := CompileProgram(&ir.Program{Machines: []*ir.Machine{good, bad[0]}})
-	if cp.Machine(0) == nil || cp.Machine(1) != nil || cp.Complete() {
-		t.Fatal("partial program compilation mismatch")
+	if cp, err := CompileProgram(&ir.Program{Machines: []*ir.Machine{good, bad[0]}}); err == nil || cp != nil {
+		t.Fatalf("program with an uncompilable machine accepted: %v", err)
 	}
 }
 

@@ -131,15 +131,9 @@ type Config struct {
 
 	// Profile defaults to MSP430FR5994.
 	Profile *device.Profile
-	// MemBytes defaults to 256 KiB (the MSP430FR5994's FRAM).
+	// MemBytes defaults to 256 KiB (the MSP430FR5994's FRAM). The image is
+	// drawn from the recycle pool (nvm.NewPooled); see Framework.Release.
 	MemBytes int
-	// Mem, when non-nil, hosts the deployment on the given caller-owned
-	// FRAM image instead of drawing one from the global recycle pool, and
-	// MemBytes is ignored. The caller owns the image's lifecycle: the fleet
-	// engine uses this to keep each shard recycling its own images
-	// (nvm.Pool), and Framework.Release does not return caller-owned images
-	// to the global pool. The image must be fresh (zeroed, no allocations).
-	Mem *nvm.Memory
 	// Rounds defaults to 1.
 	Rounds int
 	// MaxReboots defaults to 1000; exhausting it reports non-termination.
@@ -150,15 +144,6 @@ type Config struct {
 	// OnDecision observes ARTEMIS decisions (ignored by Mayfly); experiment
 	// harnesses use it to reconstruct timelines.
 	OnDecision func(ev monitor.Event, d monitor.Decision)
-
-	// InterpretMonitors forces the ARTEMIS monitors through the IR
-	// interpreter. By default the framework installs the closure-compiled
-	// execution engine (codegen.CompileProgram) on every machine it covers —
-	// semantically identical, held so by the differential equivalence tests,
-	// but several times faster and allocation-free in steady state. Machines
-	// the closure compiler cannot handle, and monitor sets installed by an
-	// OTA spec swap, always use the interpreter regardless of this setting.
-	InterpretMonitors bool
 
 	// RemoteMonitors deploys the ARTEMIS monitors on an external wireless
 	// device (§7 "Implementation Alternatives"): the host pays per-event
@@ -328,10 +313,7 @@ func New(cfg Config) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem := cfg.Mem
-	if mem == nil {
-		mem = nvm.NewPooled(cfg.MemBytes)
-	}
+	mem := nvm.NewPooled(cfg.MemBytes)
 	var extras []task.Persistent
 	if cfg.BuildApp != nil {
 		g, ex, err := cfg.BuildApp(mem)
@@ -434,9 +416,6 @@ func New(cfg Config) (*Framework, error) {
 			return nil, err
 		}
 		mons.SetTracer(tel)
-		if !cfg.InterpretMonitors {
-			mons.UseCompiled(res.Stepper())
-		}
 		var deployed monitor.Interface = mons
 		switch {
 		case cfg.RemoteMonitors && cfg.ContinuationMonitors:
@@ -628,7 +607,6 @@ func buildSupply(sc SupplyConfig) (energy.Supply, error) {
 // frameworks use it to stop re-allocating (and re-zeroing) 256 KiB images.
 // Release is idempotent: calling it again on the same Framework is a no-op,
 // even after the pool has already handed the image to a new deployment.
-// Caller-owned images (Config.Mem) are never returned to the global pool.
 func (f *Framework) Release() {
 	if f.released {
 		return

@@ -461,31 +461,3 @@ func TestReleaseIdempotent(t *testing.T) {
 	f2.Release()
 	f3.Release()
 }
-
-// TestCallerOwnedMemory pins Config.Mem: the deployment runs on the given
-// image, and Release never feeds a caller-owned image to the global pool.
-func TestCallerOwnedMemory(t *testing.T) {
-	mem := nvm.New(256 * 1024)
-	cfg := artemisConfig(SupplyConfig{Kind: SupplyContinuous})
-	cfg.Mem = mem
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.MCU().Mem != mem {
-		t.Fatal("deployment did not use the injected image")
-	}
-	rep, err := f.Run()
-	if err != nil || !rep.Completed {
-		t.Fatalf("run failed: %v %+v", err, rep)
-	}
-	f.Release() // no-op on a caller-owned (unpooled) image
-	f2, err := New(artemisConfig(SupplyConfig{Kind: SupplyContinuous}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Release()
-	if f2.MCU().Mem == mem {
-		t.Fatal("caller-owned image leaked into the global pool")
-	}
-}

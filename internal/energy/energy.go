@@ -89,7 +89,8 @@ func (c *Capacitor) BootBudget() Joules {
 
 // Drain removes e from the capacitor. It reports whether the capacitor
 // stayed above the brown-out threshold; on brown-out the voltage is clamped
-// to VOff (the excess demand is what caused the power failure).
+// to VOff (the excess demand is what caused the power failure). Like
+// Charge, it is monotone: the sqrt round trip never raises the voltage.
 func (c *Capacitor) Drain(e Joules) bool {
 	if e < 0 {
 		panic(fmt.Sprintf("energy: negative drain %g", e))
@@ -100,21 +101,24 @@ func (c *Capacitor) Drain(e Joules) bool {
 		c.v = c.VOff
 		return false
 	}
-	c.v = math.Sqrt(2 * rem / c.Capacitance)
+	c.v = math.Min(math.Sqrt(2*rem/c.Capacitance), c.v)
 	return true
 }
 
 // Charge adds energy harvested at constant power p for duration d, clamped
-// at VMax.
+// at VMax. It is monotone: a zero-energy charge is a no-op, and the energy
+// to voltage round trip through sqrt never leaves the capacitor below its
+// pre-charge voltage.
 func (c *Capacitor) Charge(p Watts, d simclock.Duration) {
 	if p < 0 {
 		panic(fmt.Sprintf("energy: negative charge power %g", p))
 	}
-	e := 0.5*c.Capacitance*c.v*c.v + float64(p)*d.Seconds()
-	c.v = math.Sqrt(2 * e / c.Capacitance)
-	if c.v > c.VMax {
-		c.v = c.VMax
+	add := float64(p) * d.Seconds()
+	if add <= 0 {
+		return
 	}
+	e := 0.5*c.Capacitance*c.v*c.v + add
+	c.v = math.Min(math.Max(math.Sqrt(2*e/c.Capacitance), c.v), c.VMax)
 }
 
 // TimeToReach returns the charging time needed to raise the capacitor from

@@ -136,6 +136,37 @@ func TestCapacitorMonotonicityProperty(t *testing.T) {
 	}
 }
 
+// TestCapacitorZeroChargeKeepsVoltage pins the case quick.Check shrank the
+// monotonicity property to: at this voltage the energy->voltage sqrt round
+// trip of a zero-energy charge used to land one ulp low.
+func TestCapacitorZeroChargeKeepsVoltage(t *testing.T) {
+	c := mustCapQuick()
+	const v = 2.5961509971494339
+	c.v = v
+	c.Charge(0, simclock.Second)
+	if c.Voltage() != v {
+		t.Fatalf("Charge(0 W, 1 s) moved the voltage %.17g -> %.17g", v, c.Voltage())
+	}
+	c.Charge(Watts(1e-12), simclock.Second)
+	if c.Voltage() < v {
+		t.Fatalf("a positive charge lowered the voltage %.17g -> %.17g", v, c.Voltage())
+	}
+	// Sweep the operating range: a zero charge never moves the voltage and
+	// the same round trip in Drain never raises it.
+	for i := 0; i <= 10000; i++ {
+		v := c.VOff + (c.VMax-c.VOff)*float64(i)/10000 + 1e-9
+		c.v = v
+		c.Charge(0, simclock.Second)
+		if c.Voltage() != v {
+			t.Fatalf("Charge(0 W, 1 s) moved the voltage %.17g -> %.17g", v, c.Voltage())
+		}
+		c.Drain(0)
+		if c.Voltage() > v {
+			t.Fatalf("Drain(0) raised the voltage %.17g -> %.17g", v, c.Voltage())
+		}
+	}
+}
+
 func mustCapQuick() *Capacitor {
 	c, err := NewCapacitor(100e-6, 5.0, 3.0, 1.8)
 	if err != nil {
@@ -152,8 +183,11 @@ func TestCapacitorEnergyConservationProperty(t *testing.T) {
 		for _, s := range steps {
 			e := Microjoules(float64(s))
 			before := c.Usable()
-			if before <= e {
-				return true // would brown out; conservation not applicable
+			// Draining all but rounding error of the usable energy browns out
+			// (e.g. 108 µJ from 108.00000000000001 µJ); conservation is not
+			// applicable at or past that edge.
+			if before <= e+1e-12 {
+				return true
 			}
 			if !c.Drain(e) {
 				return false

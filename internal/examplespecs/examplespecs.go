@@ -2,9 +2,10 @@
 // property specification, and supply — as a reusable configuration. The
 // examples under examples/ import these definitions instead of duplicating
 // them, and the engine-equivalence harness (engines_test.go at the repo
-// root) builds each case twice, once per monitor execution engine, and
-// asserts byte-identical behaviour. A new example spec added here is
-// automatically held to the compiled-vs-interpreted contract.
+// root) runs each case twice, once as deployed (compiled monitors) and once
+// with its monitor set switched to the reference interpreter, and asserts
+// byte-identical behaviour. A new example spec added here is automatically
+// held to the compiled-vs-interpreted contract.
 package examplespecs
 
 import (
@@ -28,9 +29,9 @@ import (
 // uninterrupted run performs the identical event and write sequence.
 type Case struct {
 	Name string
-	// Config builds a fresh deployment configuration. Callers may toggle
-	// engine selection (InterpretMonitors), attach OnDecision observers,
-	// etc. before handing it to core.New.
+	// Config builds a fresh deployment configuration. Callers may attach
+	// OnDecision observers, swap in a pre-compiled spec, etc. before handing
+	// it to core.New.
 	Config func() (core.Config, error)
 }
 

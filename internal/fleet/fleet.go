@@ -6,14 +6,14 @@
 // fleet-scale what-if analysis: the HTTP fleet server of the roadmap is a
 // thin layer over Engine.
 //
-// # Sharding and affinity
+// # Sharding
 //
 // Devices are assigned to shards in contiguous index blocks. Each shard
-// owns its working state exclusively: a shard-local nvm.Pool recycles FRAM
-// images only within the shard (no cross-CPU contention, no interleaving
-// through a shared pool), and the shard's digest scratch and counters are
-// reused across steps. A step schedules one task per shard across
-// internal/parallel's bounded worker pool.
+// owns its digest scratch and counters exclusively and reuses them across
+// steps; FRAM images come from the process-wide recycle pool behind
+// core.New (nvm.NewPooled) and go back to it after every device run. A step
+// schedules one task per shard across internal/parallel's bounded worker
+// pool.
 //
 // # Determinism
 //
@@ -34,15 +34,11 @@ import (
 
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
-	"github.com/tinysystems/artemis-go/internal/nvm"
 	"github.com/tinysystems/artemis-go/internal/parallel"
 	"github.com/tinysystems/artemis-go/internal/spec"
 	"github.com/tinysystems/artemis-go/internal/telemetry"
 	"github.com/tinysystems/artemis-go/internal/transform"
 )
-
-// DefaultMemBytes is the per-device FRAM image size (the MSP430FR5994's).
-const DefaultMemBytes = 256 * 1024
 
 // Config sizes an engine.
 type Config struct {
@@ -65,12 +61,10 @@ type Config struct {
 	// devices come or go, and the per-device digest independence means a
 	// frozen member list reproduces the same digests at any Shards/Workers.
 	Members []Member
-	// MemBytes is the per-device image size; 0 means DefaultMemBytes.
-	MemBytes int
 	// PostRun, when non-nil, observes every completed device run while the
 	// framework and its FRAM image are still alive — after Framework.Run,
 	// before the outcome digest folds the image hash and the image returns
-	// to the shard pool. Within a shard it is called sequentially in
+	// to the recycle pool. Within a shard it is called sequentially in
 	// device-index order (the engine's deterministic drain order); distinct
 	// shards call it concurrently, so the hook must only touch per-index
 	// state or synchronise. State the hook mutates through the framework
@@ -100,8 +94,6 @@ type device struct {
 type shard struct {
 	index   int
 	devices []device
-	// pool recycles this shard's FRAM images; nobody else gets them.
-	pool *nvm.Pool
 	// digests is the per-step scratch of device outcome digests, reused
 	// across steps (one slot per device in the shard).
 	digests []uint64
@@ -161,11 +153,6 @@ func New(cfg Config) (*Engine, error) {
 	if shards > devices {
 		shards = devices
 	}
-	memBytes := cfg.MemBytes
-	if memBytes <= 0 {
-		memBytes = DefaultMemBytes
-	}
-
 	// One compiled monitor program per distinct case, shared by all its
 	// devices: a transform.Result is immutable and safe to reuse across
 	// topology-identical graphs, which fresh Config() calls produce by
@@ -201,7 +188,6 @@ func New(cfg Config) (*Engine, error) {
 		sh := &shard{
 			index:   s,
 			devices: make([]device, 0, hi-lo),
-			pool:    nvm.NewPool(memBytes),
 			digests: make([]uint64, hi-lo),
 			post:    cfg.PostRun,
 		}
@@ -340,8 +326,9 @@ func (sh *shard) step(ctx context.Context) error {
 	return nil
 }
 
-// stepDevice executes one device run on a shard-owned image and returns the
-// outcome digest.
+// stepDevice executes one device run and returns the outcome digest. The
+// device's FRAM image goes back to the recycle pool once the digest is
+// taken.
 func (sh *shard) stepDevice(d *device) (uint64, error) {
 	cfg, err := d.build()
 	if err != nil {
@@ -350,26 +337,23 @@ func (sh *shard) stepDevice(d *device) (uint64, error) {
 	if d.compiled != nil && cfg.Compiled == nil {
 		cfg.Compiled, cfg.SpecSource = d.compiled, ""
 	}
-	if sh.pool.Free() > 0 {
-		sh.stats.Recycled++
-	}
-	mem := sh.pool.Get()
-	cfg.Mem = mem
 	f, err := core.New(cfg)
 	if err != nil {
-		sh.pool.Put(mem)
 		return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
+	}
+	defer f.Release()
+	mem := f.MCU().Mem
+	if mem.Recycled() {
+		sh.stats.Recycled++
 	}
 	rep, err := f.Run()
 	if err != nil {
-		sh.pool.Put(mem)
 		return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
 	}
 	if sh.post != nil {
 		// The hook sees the live framework before the hash below, so any
 		// monitor state it mutates (injected events) is digest-covered.
 		if err := sh.post(d.index, d.name, f, rep); err != nil {
-			sh.pool.Put(mem)
 			return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
 		}
 	}
@@ -390,7 +374,6 @@ func (sh *shard) stepDevice(d *device) (uint64, error) {
 	}
 	sh.stats.Steps++
 	sh.stats.Reboots += uint64(rep.Reboots)
-	sh.pool.Put(mem)
 	return digest, nil
 }
 

@@ -55,8 +55,8 @@ func TestFleetDigestDeterminism(t *testing.T) {
 
 // TestFleetShardStats checks the counters the Prometheus exporter renders:
 // every device step is attributed to exactly one shard, outcomes are
-// partitioned, and after the first step every shard run is served from its
-// own recycled image (shard affinity).
+// partitioned, and once the recycle pool is warm, device runs are served
+// recycled FRAM images.
 func TestFleetShardStats(t *testing.T) {
 	const devices, steps = 6, 3
 	e, err := New(Config{Devices: devices, Shards: 2})
@@ -83,10 +83,11 @@ func TestFleetShardStats(t *testing.T) {
 	if outcomes != total {
 		t.Errorf("outcomes %d do not partition %d device steps", outcomes, total)
 	}
-	// Each shard needs at most one image in flight, so only each shard's
-	// very first run can miss its pool.
-	if want := total - 2; recycled != want {
-		t.Errorf("recycled %d runs from shard pools, want %d", recycled, want)
+	// Every run releases its image before the shard's next run asks for
+	// one, so all but a shard's first run can be served from the pool. A GC
+	// may empty the pool at any time, so only the bounds are exact.
+	if recycled == 0 || recycled > total {
+		t.Errorf("recycled %d of %d device runs, want > 0 and <= total", recycled, total)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -55,9 +54,6 @@ type Config struct {
 	// means one per CPU (fleet.Config semantics). Neither changes results.
 	Shards  int
 	Workers int
-	// MemBytes is the per-device FRAM image size; 0 means the engine's
-	// default (256 KiB).
-	MemBytes int
 	// QueueDepth bounds each device's ingestion queue; <= 0 means 256.
 	// A full queue rejects further events with ErrQueueFull (HTTP 429).
 	QueueDepth int
@@ -196,7 +192,6 @@ func New(cfg Config) (*Server, error) {
 		info := specInfo{c: c, injectable: probe.System == core.Artemis}
 		if probe.Graph != nil {
 			info.tasks = probe.Graph.TaskNames()
-			sort.Strings(info.tasks)
 		}
 		s.specs[c.Name] = info
 		s.specNames = append(s.specNames, c.Name)
@@ -260,7 +255,7 @@ func (s *Server) rebuildLocked() error {
 	}
 	eng, err := fleet.New(fleet.Config{
 		Members: members,
-		Shards:  s.cfg.Shards, Workers: s.cfg.Workers, MemBytes: s.cfg.MemBytes,
+		Shards:  s.cfg.Shards, Workers: s.cfg.Workers,
 		PostRun: s.postRun,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package mayfly
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/device"
@@ -75,6 +76,32 @@ func TestNewValidation(t *testing.T) {
 	bad = []Constraint{{Task: "send", DpTask: "accel", MITD: -1}}
 	if _, err := New(Config{MCU: mcu, Graph: app.Graph, Store: store, Constraints: bad}); err == nil {
 		t.Error("negative MITD accepted")
+	}
+}
+
+// TestDeploymentLayoutDeterministic: deployments of one graph lay out their
+// per-task FRAM slots identically and end on the same image hash. Several
+// deployments are compared because a map-ordered layout can coincide by
+// chance.
+func TestDeploymentLayoutDeterministic(t *testing.T) {
+	var wantAlloc []nvm.Allocation
+	var wantHash uint64
+	for i := 0; i < 8; i++ {
+		r := newRig(t, fixedSupply(t, 900, 30*simclock.Second))
+		if _, err := r.dev.Run(r.rt.Boot); err != nil {
+			t.Fatal(err)
+		}
+		mem := r.rt.cfg.MCU.Mem
+		if i == 0 {
+			wantAlloc, wantHash = mem.Allocations(), mem.Hash()
+			continue
+		}
+		if got := mem.Allocations(); !reflect.DeepEqual(got, wantAlloc) {
+			t.Fatalf("deployment %d: FRAM layout differs:\n  got  %v\n  want %v", i, got, wantAlloc)
+		}
+		if got := mem.Hash(); got != wantHash {
+			t.Fatalf("deployment %d: final image hash %#x, want %#x", i, got, wantHash)
+		}
 	}
 }
 

@@ -32,10 +32,10 @@ type Monitor struct {
 	env     persistentEnv
 	binding transform.Binding
 	tel     *telemetry.Tracer
-	// compiled, when non-nil, steps the machine through the closure-compiled
-	// engine instead of the IR interpreter; frame is its reusable scratch.
-	// Both engines stage identical bytes into the committed region, so the
-	// choice is invisible to everything downstream (see UseCompiled).
+	// compiled steps the machine; frame is its reusable scratch, shared by
+	// the whole set. compiled is nil only after Set.Interpret, which routes
+	// the machine through the IR interpreter instead — both engines stage
+	// identical bytes into the committed region.
 	compiled *codegen.Machine
 	frame    *codegen.Frame
 }
@@ -133,13 +133,23 @@ type Set struct {
 }
 
 // NewSet allocates persistent state for every machine of a compiled
-// specification. Call Reset once on the very first boot (the paper's
-// resetMonitor hard reset); on later boots call Rollback then re-deliver the
-// in-flight event (monitorFinalize).
+// specification and steps them through the closure-compiled engine
+// (res.Stepper). It fails if a machine does not compile, which a program
+// that passed ir.Program.Check never does. Call Reset once on the very first
+// boot (the paper's resetMonitor hard reset); on later boots call Rollback
+// then re-deliver the in-flight event (monitorFinalize).
 func NewSet(mem *nvm.Memory, res *transform.Result) (*Set, error) {
 	if len(res.Program.Machines) != len(res.Bindings) {
 		return nil, fmt.Errorf("monitor: %d machines but %d bindings", len(res.Program.Machines), len(res.Bindings))
 	}
+	prog, err := res.Stepper()
+	if err != nil {
+		return nil, fmt.Errorf("monitor: %w", err)
+	}
+	// One frame serves the whole set: monitors within a set step strictly
+	// sequentially (Deliver iterates them in order), and a step fully resets
+	// the frame's scratch before using it.
+	frame := codegen.NewFrame()
 	// One backing array holds every Monitor of the set; the pointer slice
 	// preserves stable *Monitor identities for inspectors and swaps.
 	backing := make([]Monitor, len(res.Program.Machines))
@@ -151,6 +161,8 @@ func NewSet(mem *nvm.Memory, res *transform.Result) (*Set, error) {
 		}
 		mon.machine = m
 		mon.binding = res.Bindings[i]
+		mon.compiled = prog.Machine(i)
+		mon.frame = frame
 		s.monitors = append(s.monitors, mon)
 	}
 	return s, nil
@@ -159,33 +171,18 @@ func NewSet(mem *nvm.Memory, res *transform.Result) (*Set, error) {
 // Monitors returns the set's monitors.
 func (s *Set) Monitors() []*Monitor { return s.monitors }
 
-// UseCompiled installs closure-compiled machines (codegen.CompileProgram of
-// the same transform result, index-parallel with NewSet's machines) as the
-// set's execution engine. Monitors whose slot is nil or whose name does not
-// match keep the interpreter — installation is per-machine and safe to skip.
-// The verdicts, FSM trajectory, and staged NVM bytes are identical either
-// way; only dispatch cost changes.
-func (s *Set) UseCompiled(p *codegen.Program) {
-	// One frame serves the whole set: monitors within a set step strictly
-	// sequentially (Deliver iterates them in order), and Step fully resets
-	// the frame's scratch before using it.
-	var frame *codegen.Frame
-	for i, m := range s.monitors {
-		cm := p.Machine(i)
-		if cm == nil || cm.Name() != m.machine.Name {
-			continue
-		}
-		if frame == nil {
-			frame = codegen.NewFrame()
-		}
-		m.compiled = cm
-		m.frame = frame
+// Interpret switches every monitor of the set to the IR interpreter
+// (ir.Step), the reference engine the differential tests hold the compiled
+// engine to. Verdicts, FSM trajectory and staged NVM bytes are identical
+// either way; only dispatch cost changes. Deployments never call it.
+func (s *Set) Interpret() {
+	for _, m := range s.monitors {
+		m.compiled = nil
 	}
 }
 
-// Engine reports which execution engine steps this monitor: "compiled" or
-// "interpreter". Diagnostic; used by the differential harness to prove OTA
-// fallback.
+// Engine reports which execution engine steps this monitor: "compiled" or,
+// after Set.Interpret, "interpreter".
 func (m *Monitor) Engine() string {
 	if m.compiled != nil {
 		return "compiled"

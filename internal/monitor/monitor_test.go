@@ -387,6 +387,27 @@ func TestNewSetMismatchedBindings(t *testing.T) {
 	}
 }
 
+// TestNewSetRejectsUncompilable: a hand-built, unchecked program whose
+// machine the compiled engine cannot run (a string variable cannot persist)
+// is an error, not a set that silently interprets it.
+func TestNewSetRejectsUncompilable(t *testing.T) {
+	res := &transform.Result{
+		Program: &ir.Program{Machines: []*ir.Machine{{
+			Name: "strvar", Initial: "S",
+			Vars:   []ir.VarDecl{{Name: "s", Type: ir.TString, Init: ir.Str("")}},
+			States: []ir.State{{Name: "S"}},
+		}}},
+		Bindings: []transform.Binding{{Machine: "strvar", Task: "x"}},
+	}
+	mem := nvm.New(64 * 1024)
+	if set, err := NewSet(mem, res); err == nil || set != nil {
+		t.Fatalf("uncompilable program accepted: %v", err)
+	}
+	if mem.Used() != 0 {
+		t.Errorf("rejected set still allocated %d FRAM bytes", mem.Used())
+	}
+}
+
 func TestRemoteDeployment(t *testing.T) {
 	mem := nvm.New(64 * 1024)
 	mcu, err := device.NewMCU(&simclock.Clock{}, mem, &energy.Continuous{}, device.MSP430FR5994())

@@ -126,9 +126,11 @@ type Memory struct {
 	// never reallocate, so handed-out *Committed addresses are stable.
 	commChunks [][]Committed
 	// pooled marks memories born from NewPooled; released guards against
-	// double-Release putting one Memory into the pool twice.
+	// double-Release putting one Memory into the pool twice; recycled marks
+	// a Memory NewPooled served from the pool rather than allocating.
 	pooled   bool
 	released bool
+	recycled bool
 }
 
 // AccessOp classifies one raw FRAM access for access observers.
@@ -179,6 +181,7 @@ func NewPooled(size int) *Memory {
 		m := v.(*Memory)
 		if len(m.data) == size {
 			m.reset()
+			m.recycled = true
 			return m
 		}
 		// Wrong size: drop it and allocate fresh. Not re-Put — mixed-size
@@ -202,55 +205,10 @@ func (m *Memory) Release() {
 	memPool.Put(m)
 }
 
-// Pool is a caller-owned free list of equally-sized Memory images. Unlike
-// the process-global pool behind NewPooled, a Pool has a single owner: one
-// goroutine gets, uses, and puts, so recycling needs no synchronisation and
-// the same images stay with the same owner — the shard-affinity building
-// block of the fleet stepping engine, where each shard recycles its own
-// images instead of contending on (and interleaving through) a shared pool.
-//
-// Images from a Pool are created with New, not NewPooled, so a stray
-// Release on one is a no-op and can never leak a Pool-owned image into the
-// global pool.
-type Pool struct {
-	size int
-	free []*Memory
-}
-
-// NewPool returns an empty pool of images of the given size in bytes.
-func NewPool(size int) *Pool {
-	if size <= 0 {
-		panic(fmt.Sprintf("nvm: non-positive pool image size %d", size))
-	}
-	return &Pool{size: size}
-}
-
-// Get returns a zeroed Memory of the pool's size, recycling a previously
-// Put image when one is available. A recycled image is reset exactly like
-// NewPooled's — indistinguishable from fresh.
-func (p *Pool) Get() *Memory {
-	if n := len(p.free); n > 0 {
-		m := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		m.reset()
-		return m
-	}
-	return New(p.size)
-}
-
-// Free returns the number of recycled images currently held.
-func (p *Pool) Free() int { return len(p.free) }
-
-// Put returns an image to the pool. The caller must be completely done with
-// it: every derived structure is invalid after Put. Images of the wrong
-// size (or nil) are dropped.
-func (p *Pool) Put(m *Memory) {
-	if m == nil || len(m.data) != p.size {
-		return
-	}
-	p.free = append(p.free, m)
-}
+// Recycled reports whether NewPooled served this Memory from the recycle
+// pool instead of allocating it. Purely diagnostic: a recycled image is
+// indistinguishable from a fresh one.
+func (m *Memory) Recycled() bool { return m.recycled }
 
 // reset returns a recycled Memory to the fresh-from-New state: zeroed image
 // (only the dirty prefix needs touching), zero accounting, no hooks.

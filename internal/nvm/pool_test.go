@@ -37,6 +37,9 @@ func TestPooledResetMatchesFresh(t *testing.T) {
 	if got != m {
 		t.Skip("pool did not recycle (GC ran); invariants untestable this round")
 	}
+	if !got.Recycled() {
+		t.Fatal("image served from the pool does not report Recycled")
+	}
 	for i, b := range got.data {
 		if b != 0 {
 			t.Fatalf("recycled image dirty at offset %d: %#x", i, b)
@@ -62,6 +65,9 @@ func TestPooledResetMatchesFresh(t *testing.T) {
 	}
 	// The recycled memory must behave exactly like a fresh one.
 	fresh := New(4096)
+	if fresh.Recycled() {
+		t.Fatal("New reports Recycled")
+	}
 	dirtyUse(t, got)
 	dirtyUse(t, fresh)
 	if got.Hash() != fresh.Hash() {

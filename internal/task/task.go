@@ -14,6 +14,7 @@ package task
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"github.com/tinysystems/artemis-go/internal/device"
 	"github.com/tinysystems/artemis-go/internal/nvm"
@@ -98,12 +99,14 @@ func NewGraph(paths ...*Path) (*Graph, error) {
 // Task returns the task with the given name, or nil.
 func (g *Graph) Task(name string) *Task { return g.tasks[name] }
 
-// TaskNames returns all task names (order unspecified).
+// TaskNames returns all task names in sorted order, so anything laid out
+// from them (Mayfly's per-task FRAM slots) is the same on every run.
 func (g *Graph) TaskNames() []string {
 	names := make([]string, 0, len(g.tasks))
 	for n := range g.tasks {
 		names = append(names, n)
 	}
+	sort.Strings(names)
 	return names
 }
 

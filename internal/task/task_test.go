@@ -78,8 +78,8 @@ func TestGraphSharedTaskOK(t *testing.T) {
 
 func TestGraphLookups(t *testing.T) {
 	g, err := NewGraph(
-		&Path{ID: 3, Tasks: []*Task{{Name: "a"}}},
-		&Path{ID: 7, Tasks: []*Task{{Name: "b"}}},
+		&Path{ID: 3, Tasks: []*Task{{Name: "b"}}},
+		&Path{ID: 7, Tasks: []*Task{{Name: "a"}}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +90,8 @@ func TestGraphLookups(t *testing.T) {
 	if g.PathIndex(3) != 0 || g.PathIndex(7) != 1 || g.PathIndex(5) != -1 {
 		t.Fatal("PathIndex wrong")
 	}
-	if len(g.TaskNames()) != 2 {
-		t.Fatalf("TaskNames = %v", g.TaskNames())
+	if names := g.TaskNames(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
+		t.Fatalf("TaskNames = %v, want sorted [a b]", names)
 	}
 	if g.Task("a") == nil || g.Task("nope") != nil {
 		t.Fatal("Task lookup wrong")

@@ -21,8 +21,8 @@ type FleetShard struct {
 	NonTerminated uint64
 	// Reboots totals the device reboots across the shard's runs.
 	Reboots uint64
-	// Recycled counts the device runs served from the shard's own FRAM
-	// image pool (shard affinity working: everything after warm-up).
+	// Recycled counts the device runs whose FRAM image the process-wide
+	// recycle pool served (nvm.Memory.Recycled) instead of allocating one.
 	Recycled uint64
 }
 
@@ -47,7 +47,7 @@ func FleetMetrics(w io.Writer, shards []FleetShard) error {
 		func(s FleetShard) uint64 { return s.NonTerminated })
 	series("artemis_fleet_reboots_total", "Device reboots observed per shard.",
 		func(s FleetShard) uint64 { return s.Reboots })
-	series("artemis_fleet_pool_recycled_total", "Device runs served from the shard's recycled FRAM images.",
+	series("artemis_fleet_pool_recycled_total", "Device runs served a recycled FRAM image from the pool, per shard.",
 		func(s FleetShard) uint64 { return s.Recycled })
 	return nil
 }
