@@ -484,6 +484,40 @@ func BenchmarkNVMWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCommit measures the NVM commit-group flip layer with no hook
+// armed, the state every deployment runs in: "private" commits one
+// monitor-sized region on its own selector, "group" a three-member group
+// on a shared one — a monitor step and a task boundary. Each op stages one
+// changed word first, so the hash and wear do real work. Both pin the
+// commit at zero allocations.
+func BenchmarkCommit(b *testing.B) {
+	b.Run("private", func(b *testing.B) {
+		mem := nvm.New(4096)
+		c := nvm.MustAllocCommitted(mem, "bench", "fsm", 88)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.WriteUint64(8, uint64(i))
+			c.Commit()
+		}
+	})
+	b.Run("group", func(b *testing.B) {
+		mem := nvm.New(4096)
+		g := nvm.MustNewCommitGroup(mem, "bench", "boundary")
+		var cs [3]*nvm.Committed
+		for i := range cs {
+			cs[i] = nvm.MustAllocCommitted(mem, "bench", fmt.Sprintf("member%d", i), 64)
+			cs[i].Join(g)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cs[i%len(cs)].WriteUint64(0, uint64(i))
+			g.Commit()
+		}
+	})
+}
+
 // BenchmarkNVMHash pins Memory.Hash at O(1): the digest is maintained
 // incrementally on each differing-byte store, so snapshotting a 256 KiB
 // image costs nothing beyond the read of one word.

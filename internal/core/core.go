@@ -704,6 +704,13 @@ func (f *Framework) CompiledIR() *ir.Program {
 	return f.res.Program
 }
 
+// Compiled returns the monitor program the deployment runs, with its
+// bindings (nil for Mayfly and Ocelot). It is immutable, so it can be
+// handed to the Config.Compiled of any deployment with a
+// topology-identical graph; the fleet engine compiles each case once
+// this way.
+func (f *Framework) Compiled() *transform.Result { return f.res }
+
 // OnReboot registers a reboot observer on the underlying device.
 func (f *Framework) OnReboot(fn func(n int, off simclock.Duration)) {
 	f.dev.OnReboot = fn

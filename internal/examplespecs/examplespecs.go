@@ -10,6 +10,7 @@ package examplespecs
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/health"
@@ -251,9 +252,10 @@ machine SendAlternation {
 }
 `
 
-// CustomIRResult parses and checks the hand-written machine and wraps it as
-// a monitor program, the way artemisgen wraps spec-derived machines.
-func CustomIRResult() (*transform.Result, error) {
+// customIR parses the hand-written machine once per process: the source is
+// a package constant, so one Result (and the compiled stepper it caches)
+// serves every deployment, as health.CompiledShared does for the benchmark.
+var customIR = sync.OnceValues(func() (*transform.Result, error) {
 	prog, err := ir.Parse(CustomIRSource)
 	if err != nil {
 		return nil, err
@@ -264,7 +266,12 @@ func CustomIRResult() (*transform.Result, error) {
 			Machine: "SendAlternation", Task: "send", AllPaths: []int{1, 2},
 		}},
 	}, nil
-}
+})
+
+// CustomIRResult returns the hand-written machine, parsed and checked once
+// per process and wrapped as a monitor program the way artemisgen wraps
+// spec-derived machines. The Result is shared: callers must not modify it.
+func CustomIRResult() (*transform.Result, error) { return customIR() }
 
 // CustomIRConfig attaches the hand-written alternation machine to a
 // two-path deployment whose merged "send" task violates the alternation
@@ -318,9 +325,29 @@ func CustomIRConfig() (core.Config, error) {
 // health constraints translated by the mayflyspec frontend, augmented with
 // the one native maxAttempt bound that breaks the restart-forever livelock.
 func LegacySpecConfig() (core.Config, error) {
-	augmented, err := mayflyspec.Compile(mayflyspec.HealthSource)
+	src, err := legacySpec()
 	if err != nil {
 		return core.Config{}, err
+	}
+	app := health.New()
+	return core.Config{
+		System:     core.Artemis,
+		Graph:      app.Graph,
+		StoreKeys:  health.Keys(),
+		SpecSource: src,
+		Supply: core.SupplyConfig{
+			Kind: core.SupplyFixedDelay, BudgetUJ: 800, Delay: 6 * simclock.Minute,
+		},
+		MaxReboots: 80,
+	}, nil
+}
+
+// legacySpec translates and augments the legacy source once per process
+// (both inputs are package constants) and returns the ARTEMIS spec text.
+var legacySpec = sync.OnceValues(func() (string, error) {
+	augmented, err := mayflyspec.Compile(mayflyspec.HealthSource)
+	if err != nil {
+		return "", err
 	}
 	found := false
 	for i := range augmented.Blocks {
@@ -337,17 +364,7 @@ func LegacySpecConfig() (core.Config, error) {
 		}
 	}
 	if !found {
-		return core.Config{}, fmt.Errorf("examplespecs: no MITD property on send in the translated legacy spec")
+		return "", fmt.Errorf("examplespecs: no MITD property on send in the translated legacy spec")
 	}
-	app := health.New()
-	return core.Config{
-		System:     core.Artemis,
-		Graph:      app.Graph,
-		StoreKeys:  health.Keys(),
-		SpecSource: augmented.String(),
-		Supply: core.SupplyConfig{
-			Kind: core.SupplyFixedDelay, BudgetUJ: 800, Delay: 6 * simclock.Minute,
-		},
-		MaxReboots: 80,
-	}, nil
-}
+	return augmented.String(), nil
+})

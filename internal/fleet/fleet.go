@@ -35,7 +35,6 @@ import (
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/parallel"
-	"github.com/tinysystems/artemis-go/internal/spec"
 	"github.com/tinysystems/artemis-go/internal/telemetry"
 	"github.com/tinysystems/artemis-go/internal/transform"
 )
@@ -115,10 +114,11 @@ type Engine struct {
 	digest uint64
 }
 
-// New assembles a fleet engine. It builds each distinct case's
-// configuration once to validate it and to pre-compile the monitor
-// specification, so per-step construction skips the spec parse + transform
-// for every device that shares the case (the same sharing sweeps use).
+// New assembles a fleet engine. It deploys each distinct case once to
+// validate it and to compile its monitor program, so per-step construction
+// skips every parse and compile for all devices that share the case (the
+// same sharing sweeps use). Cases are told apart by name, so Cases must not
+// repeat one.
 func New(cfg Config) (*Engine, error) {
 	members := cfg.Members
 	if members == nil {
@@ -131,6 +131,13 @@ func New(cfg Config) (*Engine, error) {
 		}
 		if len(cases) == 0 {
 			return nil, fmt.Errorf("fleet: empty case list")
+		}
+		seen := make(map[string]bool, len(cases))
+		for _, c := range cases {
+			if seen[c.Name] {
+				return nil, fmt.Errorf("fleet: duplicate case name %q", c.Name)
+			}
+			seen[c.Name] = true
 		}
 		members = make([]Member, cfg.Devices)
 		for i := range members {
@@ -154,31 +161,19 @@ func New(cfg Config) (*Engine, error) {
 		shards = devices
 	}
 	// One compiled monitor program per distinct case, shared by all its
-	// devices: a transform.Result is immutable and safe to reuse across
-	// topology-identical graphs, which fresh Config() calls produce by
-	// construction.
+	// devices and steps: a transform.Result is immutable and safe to reuse
+	// across topology-identical graphs, which fresh Config() calls produce
+	// by construction.
 	compiled := make(map[string]*transform.Result, 8)
-	probed := make(map[string]bool, 8)
 	for _, m := range members {
-		if probed[m.Case.Name] {
+		if _, ok := compiled[m.Case.Name]; ok {
 			continue
 		}
-		probed[m.Case.Name] = true
-		probe, err := m.Case.Config()
+		res, err := compileCase(m.Case)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: case %s: %w", m.Case.Name, err)
 		}
-		if probe.System != core.Artemis || probe.SpecSource == "" || probe.Graph == nil {
-			continue // camera-style BuildApp cases compile per run
-		}
-		s, err := spec.Parse(probe.SpecSource)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: case %s: %w", m.Case.Name, err)
-		}
-		compiled[m.Case.Name], err = transform.Compile(s, transform.Options{Graph: probe.Graph, DataVars: probe.StoreKeys})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: case %s: %w", m.Case.Name, err)
-		}
+		compiled[m.Case.Name] = res
 	}
 
 	e := &Engine{workers: cfg.Workers, devices: devices}
@@ -204,6 +199,23 @@ func New(cfg Config) (*Engine, error) {
 		e.shards = append(e.shards, sh)
 	}
 	return e, nil
+}
+
+// compileCase deploys one configuration of c as a probe and returns the
+// monitor program the probe runs (nil for a non-ARTEMIS case). core.New
+// builds a BuildApp case's graph on the probe's own image, which goes back
+// to the pool with it, so camera-style cases compile here too.
+func compileCase(c examplespecs.Case) (*transform.Result, error) {
+	cfg, err := c.Config()
+	if err != nil {
+		return nil, err
+	}
+	f, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Release()
+	return f.Compiled(), nil
 }
 
 // Devices returns the fleet size.
@@ -334,7 +346,7 @@ func (sh *shard) stepDevice(d *device) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
 	}
-	if d.compiled != nil && cfg.Compiled == nil {
+	if d.compiled != nil {
 		cfg.Compiled, cfg.SpecSource = d.compiled, ""
 	}
 	f, err := core.New(cfg)

@@ -11,6 +11,7 @@ import (
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/ir"
+	"github.com/tinysystems/artemis-go/internal/transform"
 )
 
 // TestFleetDigestDeterminism is the engine's core contract: the cumulative
@@ -268,5 +269,91 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Devices: 3, Members: []Member{{Name: "x", Case: examplespecs.All()[0]}}}); err == nil {
 		t.Error("conflicting Devices and Members accepted")
+	}
+	// Programs are compiled per case name, so two distinct cases sharing a
+	// name would silently run the first one's monitors.
+	all := examplespecs.All()
+	dup := []examplespecs.Case{all[0], {Name: all[0].Name, Config: all[1].Config}}
+	if _, err := New(Config{Devices: 2, Cases: dup}); err == nil {
+		t.Error("two distinct cases sharing a name accepted")
+	}
+}
+
+// TestFleetDevicesShareCompiledProgram pins construction-time compilation:
+// every device of every ARTEMIS case — camera (built against the image) and
+// customir (hand-written IR) included — runs its case's one program,
+// compiled by New, on every step.
+func TestFleetDevicesShareCompiledProgram(t *testing.T) {
+	cases := examplespecs.All()
+	devices, steps := 2*len(cases), 2
+	seen := make([][]*transform.Result, devices)
+	e, err := New(Config{
+		Devices: devices, Shards: 3,
+		PostRun: func(index int, _ string, f *core.Framework, _ *core.Report) error {
+			seen[index] = append(seen[index], f.Compiled())
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < steps; s++ {
+		if _, err := e.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byCase := map[string]*transform.Result{}
+	for _, sh := range e.shards {
+		for _, d := range sh.devices {
+			c := cases[d.index%len(cases)].Name
+			if d.compiled == nil {
+				t.Fatalf("device %s: no program compiled at construction", d.name)
+			}
+			if prev, ok := byCase[c]; ok && prev != d.compiled {
+				t.Errorf("case %s: devices hold different programs", c)
+			}
+			byCase[c] = d.compiled
+			if len(seen[d.index]) != steps {
+				t.Fatalf("device %s: %d runs observed, want %d", d.name, len(seen[d.index]), steps)
+			}
+			for s, got := range seen[d.index] {
+				if got != d.compiled {
+					t.Errorf("device %s step %d: ran a program other than the engine's", d.name, s)
+				}
+			}
+		}
+	}
+	if len(byCase) != len(cases) {
+		t.Errorf("%d cases compiled, want %d", len(byCase), len(cases))
+	}
+}
+
+// fleetStepAllocBudget caps the allocations of one Engine.Step over a
+// six-device fleet, one device per example case. The measured count is
+// ~530; compiling any case per step again costs hundreds more, so the
+// budget catches it.
+const fleetStepAllocBudget = 600
+
+func TestFleetStepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	if testing.Short() {
+		t.Skip("allocation measurement is slow under -short")
+	}
+	e, err := New(Config{Devices: len(examplespecs.All()), Shards: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := e.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // warm the image pool before measuring
+	avg := testing.AllocsPerRun(20, step)
+	t.Logf("fleet step over %d devices: %.0f allocs (budget %d)", e.Devices(), avg, fleetStepAllocBudget)
+	if avg > fleetStepAllocBudget {
+		t.Errorf("fleet step allocates %.0f times, budget is %d — per-step construction regressed", avg, fleetStepAllocBudget)
 	}
 }

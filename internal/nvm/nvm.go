@@ -448,17 +448,8 @@ func (m *Memory) writeByte(idx, off int, b byte) {
 		return
 	}
 	m.stats.Writes++
-	if idx >= 0 && idx < len(m.allotWear) {
-		m.allotWear[idx]++
-	}
-	if off+1 > m.dirty {
-		m.dirty = off + 1
-	}
-	if m.data[off] != b {
-		w := off &^ 7
-		m.data[off] = b
-		m.foldWord(w, m.word(w))
-	}
+	m.account(idx, off, 1)
+	m.storeByte(off, b)
 	m.stats.BytesWritten++
 	if m.writeCrashAfter > 0 {
 		m.writeCrashAfter--
@@ -482,12 +473,7 @@ func (m *Memory) write(idx, off int, p []byte) {
 	if m.access != nil {
 		m.reportWrite(off, p)
 	}
-	if idx >= 0 && idx < len(m.allotWear) {
-		m.allotWear[idx] += int64(len(p))
-	}
-	if end := off + len(p); end > m.dirty {
-		m.dirty = end
-	}
+	m.account(idx, off, len(p))
 	if m.crashAfter > 0 {
 		m.writeTearable(off, p)
 	} else {
@@ -500,11 +486,7 @@ func (m *Memory) write(idx, off int, p []byte) {
 		switch len(p) {
 		case 1:
 			// Selector flips and status bytes: patch the containing word.
-			if old, b := m.data[off], p[0]; old != b {
-				w := off &^ 7
-				m.data[off] = b
-				m.foldWord(w, m.word(w))
-			}
+			m.storeByte(off, p[0])
 		case 8:
 			if off&7 == 0 {
 				// Aligned word store (Vars, seq counters): one comparison,
@@ -549,36 +531,13 @@ func (m *Memory) writeRanged(idx, off int, p []byte, lo, hi int) {
 	if m.access != nil {
 		m.reportWrite(off, p)
 	}
-	if idx >= 0 && idx < len(m.allotWear) {
-		m.allotWear[idx] += int64(len(p))
-	}
-	if end := off + len(p); end > m.dirty {
-		m.dirty = end
-	}
+	m.account(idx, off, len(p))
 	if m.crashAfter > 0 {
 		// An armed byte-granularity crash needs the byte loop regardless;
 		// it stores every byte of p, so the range is irrelevant to it.
 		m.writeTearable(off, p)
 	} else {
-		if lo < hi {
-			wlo := lo &^ 7
-			if hi > len(p) {
-				hi = len(p)
-			}
-			if hi <= wlo+8 && wlo+8 <= len(p) {
-				// The range fits one aligned word — the common case for a
-				// quiet event's commit (only the sequence number changed)
-				// — so skip writeDiff's loop setup entirely.
-				w := off + wlo
-				old := m.word(w)
-				if nw := binary.LittleEndian.Uint64(p[wlo:]); nw != old {
-					binary.LittleEndian.PutUint64(m.data[w:], nw)
-					m.foldWord(w, nw)
-				}
-			} else {
-				m.writeDiff(off+wlo, p[wlo:hi])
-			}
-		}
+		m.storeRanged(off, p, lo, hi)
 		m.stats.BytesWritten += int64(len(p))
 	}
 	if m.writeCrashAfter > 0 {
@@ -592,6 +551,53 @@ func (m *Memory) writeRanged(idx, off int, p []byte, lo, hi int) {
 	if m.observer != nil {
 		m.observer()
 	}
+}
+
+// account books a store of n bytes at off into allocation idx: the
+// allocation's wear (idx -1 is unattributed) and the dirty high-water mark.
+func (m *Memory) account(idx, off, n int) {
+	if idx >= 0 && idx < len(m.allotWear) {
+		m.allotWear[idx] += int64(n)
+	}
+	if end := off + n; end > m.dirty {
+		m.dirty = end
+	}
+}
+
+// storeByte stores one byte, folding its word into the hash if it changed.
+// Charges are the caller's.
+func (m *Memory) storeByte(off int, b byte) {
+	if m.data[off] != b {
+		w := off &^ 7
+		m.data[off] = b
+		m.foldWord(w, m.word(w))
+	}
+}
+
+// storeRanged is the untearable store of writeRanged: p lands at off, but
+// only the aligned words overlapping [lo, hi) are compared and stored.
+// Charges are the caller's.
+func (m *Memory) storeRanged(off int, p []byte, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	wlo := lo &^ 7
+	if hi > len(p) {
+		hi = len(p)
+	}
+	if hi <= wlo+8 && wlo+8 <= len(p) {
+		// The range fits one aligned word — the common case for a quiet
+		// event's commit (only the sequence number changed) — so skip
+		// writeDiff's loop setup entirely.
+		w := off + wlo
+		old := m.word(w)
+		if nw := binary.LittleEndian.Uint64(p[wlo:]); nw != old {
+			binary.LittleEndian.PutUint64(m.data[w:], nw)
+			m.foldWord(w, nw)
+		}
+		return
+	}
+	m.writeDiff(off+wlo, p[wlo:hi])
 }
 
 // writeDiff applies the general word-at-a-time difference scan of the
@@ -705,14 +711,6 @@ func (m *Memory) FlipBit(off int, bit uint) {
 // for comparison against other Hash values from the same process.
 func (m *Memory) Hash() uint64 { return m.hash }
 
-// mixWord maps one (aligned offset, 8-byte word) pair to its contribution
-// to the image fingerprint. The hash is the XOR of mixWord over the image's
-// aligned-word decomposition; storing into a word replaces its old
-// contribution with the new one via two XORs — one digest fold per
-// differing word, however many of its bytes changed. mixWord(off, 0) == 0
-// by construction, so a zeroed Memory hashes to 0 without an initialisation
-// pass. Nonzero words go through a splitmix64-style finaliser so single-bit
-// differences in position or value diffuse across the result.
 // foldWord swaps the aligned word w's digest contribution for that of its
 // new value nw (already stored by the caller), reading the stale side from
 // the contrib cache instead of re-hashing the old word.
@@ -723,6 +721,14 @@ func (m *Memory) foldWord(w int, nw uint64) {
 	m.contrib[i] = nc
 }
 
+// mixWord maps one (aligned offset, 8-byte word) pair to its contribution
+// to the image fingerprint. The hash is the XOR of mixWord over the image's
+// aligned-word decomposition; storing into a word replaces its old
+// contribution with the new one via two XORs — one digest fold per
+// differing word, however many of its bytes changed. mixWord(off, 0) == 0
+// by construction, so a zeroed Memory hashes to 0 without an initialisation
+// pass. Nonzero words go through a splitmix64-style finaliser so single-bit
+// differences in position or value diffuse across the result.
 func mixWord(off int, w uint64) uint64 {
 	if w == 0 {
 		return 0
@@ -1280,6 +1286,10 @@ func (c *Committed) Commit() {
 	if c.preCommit != nil {
 		c.preCommit()
 	}
+	if c.sel.mem.quiet(2) {
+		commitQuiet(c.sel, c)
+		return
+	}
 	c.syncShadow()
 	flipSel(c.sel)
 }
@@ -1291,18 +1301,42 @@ func (c *Committed) Commit() {
 // image. The bookkeeping runs after the write so a crash hook that panics
 // mid-store leaves the ranges as supersets, never missing a byte.
 func (c *Committed) syncShadow() {
-	sh, t, o := &c.b, 1, 0
+	t := 1
 	if c.sel.ByteAt(0) != 0 {
-		sh, t, o = &c.a, 0, 1
+		t = 0
 	}
-	lo, hi := c.stLo, c.stHi
+	sh := c.buf(t)
+	lo, hi := c.shadowRange(t)
+	sh.mem.writeRanged(sh.idx, sh.off, c.stage, lo, hi)
+	c.synced(t)
+}
+
+// buf returns buffer i: 0 is a, 1 is b.
+func (c *Committed) buf(i int) *Region {
+	if i == 0 {
+		return &c.a
+	}
+	return &c.b
+}
+
+// shadowRange is the byte range in which shadow buffer t may differ from
+// the stage: the staged range widened by t's pending range.
+func (c *Committed) shadowRange(t int) (lo, hi int) {
+	lo, hi = c.stLo, c.stHi
 	if c.pdLo[t] < lo {
 		lo = c.pdLo[t]
 	}
 	if c.pdHi[t] > hi {
 		hi = c.pdHi[t]
 	}
-	sh.mem.writeRanged(sh.idx, sh.off, c.stage, lo, hi)
+	return lo, hi
+}
+
+// synced rebases the dirty tracking once buffer t holds the stage: t
+// differs nowhere, the other buffer may differ wherever bytes were staged,
+// and the staged range empties.
+func (c *Committed) synced(t int) {
+	o := 1 - t
 	c.pdLo[t], c.pdHi[t] = c.size, 0
 	if c.stLo < c.pdLo[o] {
 		c.pdLo[o] = c.stLo
@@ -1311,6 +1345,50 @@ func (c *Committed) syncShadow() {
 		c.pdHi[o] = c.stHi
 	}
 	c.stLo, c.stHi = c.size, 0
+}
+
+// quiet reports whether the next ops write operations can fire no hook: no
+// access or write observer is installed, no byte-crash countdown is armed,
+// and an armed write-crash countdown outlasts them. A commit that is quiet
+// takes the one-pass commitQuiet instead of the per-op path.
+func (m *Memory) quiet(ops int) bool {
+	return m.access == nil && m.observer == nil && m.crashAfter <= 0 &&
+		(m.writeCrashAfter <= 0 || m.writeCrashAfter > ops)
+}
+
+// commitQuiet is the one-pass form of a commit through selector sel: every
+// member's syncShadow, then flipSel. It charges exactly what that per-op
+// sequence charges — one selector read per member and one for the flip, one
+// write op of each member's full image and one for the selector byte, with
+// the same bytes, per-allocation wear, dirty high-water mark, hash and
+// write-crash countdown — and skips only the per-op hook dispatch, which
+// quiet has shown would do nothing. Every member lives in sel's memory
+// (Join enforces it).
+func commitQuiet(sel *Region, members ...*Committed) {
+	m := sel.mem
+	ops := int64(len(members)) + 1
+	m.stats.Reads += ops
+	m.stats.BytesRead += ops
+	m.stats.Writes += ops
+	cur := m.data[sel.off]
+	t := 1
+	if cur != 0 {
+		t = 0
+	}
+	for _, c := range members {
+		sh := c.buf(t)
+		lo, hi := c.shadowRange(t)
+		m.storeRanged(sh.off, c.stage, lo, hi)
+		m.account(sh.idx, sh.off, c.size)
+		m.stats.BytesWritten += int64(c.size)
+		c.synced(t)
+	}
+	m.storeByte(sel.off, byte(t))
+	m.account(sel.idx, sel.off, 1)
+	m.stats.BytesWritten++
+	if m.writeCrashAfter > 0 {
+		m.writeCrashAfter -= int(ops)
+	}
 }
 
 func flipSel(sel *Region) {
@@ -1378,10 +1456,14 @@ func (g *CommitGroup) Commit() {
 			c.preCommit()
 		}
 	}
-	for _, c := range g.members {
-		c.syncShadow()
+	if g.sel.mem.quiet(len(g.members) + 1) {
+		commitQuiet(&g.sel, g.members...)
+	} else {
+		for _, c := range g.members {
+			c.syncShadow()
+		}
+		flipSel(&g.sel)
 	}
-	flipSel(&g.sel)
 	if g.onCommit != nil {
 		g.onCommit()
 	}
@@ -1411,8 +1493,12 @@ func (g *CommitGroup) Members() []*Committed { return g.members }
 // image is first duplicated into both of its buffers, so the image reads
 // identically under either selector value; from then on c commits with
 // the group (and c.Commit() commits the whole group). Join is meant for
-// construction time, before any uncommitted writes are staged.
+// construction time, before any uncommitted writes are staged. c must live
+// in the group's memory.
 func (c *Committed) Join(g *CommitGroup) {
+	if c.a.mem != g.sel.mem {
+		panic("nvm: Join of a region from another memory")
+	}
 	// The duplication buffer comes from the image's staging arena (Join is
 	// construction-time, so occupying arena space for its duration is fine);
 	// the stage itself is left untouched because callers may already have

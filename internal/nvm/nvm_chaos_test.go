@@ -2,6 +2,8 @@ package nvm
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -225,6 +227,59 @@ func TestCommitGroupAtomicAtEveryCrashPoint(t *testing.T) {
 		newBoth := v1 == 101 && v2 == 201
 		if !oldBoth && !newBoth {
 			t.Fatalf("crash point %d: group torn across members: %d / %d", point, v1, v2)
+		}
+	}
+}
+
+// A group commit of ops write operations (each member's shadow plus the
+// selector flip) with the write-crash countdown at ops-1, ops and ops+1:
+// the first two land inside the commit, so it must run per-op and fire
+// there; ops+1 outlasts it, so it runs one-pass and the next write fires.
+// Either way every charge, the image, the hash and the firing point must
+// match a memory forced onto the per-op path by a write observer.
+func TestGroupCommitWriteCrashCountdown(t *testing.T) {
+	const members = 3
+	const ops = members + 1
+	for _, n := range []int{ops - 1, ops, ops + 1} {
+		run := func(perOp bool) (*Memory, int64) {
+			m := New(1024)
+			g := MustNewCommitGroup(m, "t", "grp")
+			var cs [members]*Committed
+			for i := range cs {
+				cs[i] = MustAllocCommitted(m, "t", fmt.Sprintf("c%d", i), 24)
+				cs[i].Join(g)
+				cs[i].WriteUint64(8*i, uint64(100+i))
+			}
+			g.Commit()
+			for i, c := range cs {
+				c.WriteUint64(8*((i+1)%3), uint64(200+i))
+			}
+			tail := m.MustAlloc("t", "tail", 8)
+			if perOp {
+				m.SetWriteObserver(func() {})
+			}
+			firedAt := int64(-1)
+			m.SetWriteCrashHook(n, func() { firedAt = m.Stats().Writes })
+			g.Commit()
+			tail.SetByteAt(0, 1)
+			return m, firedAt
+		}
+		fast, fastAt := run(false)
+		slow, slowAt := run(true)
+		if fastAt < 0 || fastAt != slowAt {
+			t.Errorf("countdown %d: hook fired at write %d, per-op at %d", n, fastAt, slowAt)
+		}
+		if fast.Stats() != slow.Stats() {
+			t.Errorf("countdown %d: stats %+v, per-op %+v", n, fast.Stats(), slow.Stats())
+		}
+		if fast.Hash() != slow.Hash() || fast.Hash() != fast.recomputeHash() {
+			t.Errorf("countdown %d: hash %#x, per-op %#x, recomputed %#x", n, fast.Hash(), slow.Hash(), fast.recomputeHash())
+		}
+		if !bytes.Equal(fast.data, slow.data) || fast.dirty != slow.dirty {
+			t.Errorf("countdown %d: image or dirty mark (%d vs %d) diverged", n, fast.dirty, slow.dirty)
+		}
+		if !reflect.DeepEqual(fast.allotWear, slow.allotWear) {
+			t.Errorf("countdown %d: wear %v, per-op %v", n, fast.allotWear, slow.allotWear)
 		}
 	}
 }
