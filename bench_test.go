@@ -355,17 +355,22 @@ func benchWorkerCounts() []int {
 // BenchmarkExhaustiveSweep measures the exhaustive crash-point exploration
 // (internal/chaos Explorer, budget 0 = every committing write) at each
 // worker count. Output is byte-identical across the ladder; only wall-clock
-// should move.
+// should move. The custom crash-points/sec metric is the fan-out headline
+// benchjson records.
 func BenchmarkExhaustiveSweep(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			points := 0
 			for i := 0; i < b.N; i++ {
 				ex := chaos.NewHealthExplorer(7, 0)
 				ex.Workers = w
-				if _, err := ex.Run(); err != nil {
+				rep, err := ex.Run()
+				if err != nil {
 					b.Fatal(err)
 				}
+				points += rep.Explored
 			}
+			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "crash-points/sec")
 		})
 	}
 }

@@ -43,6 +43,25 @@ func TestHealthExhaustiveCrashExploration(t *testing.T) {
 
 // State-hash pruning must only skip points, never change the verdict: the
 // pruned sweep explores strictly fewer points and still finds no failures.
+// TestExplorerRejectsInvalidConfigBeforeBuild checks a Window without Bytes
+// mode is rejected before the reference deployment is built.
+func TestExplorerRejectsInvalidConfigBeforeBuild(t *testing.T) {
+	e := NewHealthExplorer(1, 0)
+	built := 0
+	build := e.Build
+	e.Build = func() (*core.Framework, error) {
+		built++
+		return build()
+	}
+	e.Window = func(*core.Framework) (int64, int64, bool) { return 0, 0, true }
+	if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "requires Bytes mode") {
+		t.Fatalf("Run with Window and no Bytes: err %v, want the Bytes-mode rejection", err)
+	}
+	if built != 0 {
+		t.Fatalf("invalid config called Build %d times before rejecting", built)
+	}
+}
+
 func TestHealthExplorationWithPruning(t *testing.T) {
 	ex := NewHealthExplorer(1, 0)
 	ex.Prune = true

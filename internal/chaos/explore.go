@@ -244,6 +244,9 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 	if e.Build == nil {
 		return nil, fmt.Errorf("chaos: Explorer needs a Build function")
 	}
+	if e.Window != nil && !e.Bytes {
+		return nil, fmt.Errorf("chaos: Explorer.Window requires Bytes mode")
+	}
 
 	// Reference run: count persistent writes and capture the baseline
 	// outcome. With pruning enabled, fingerprint the persistent image
@@ -252,9 +255,10 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.Window != nil && !e.Bytes {
-		return nil, fmt.Errorf("chaos: Explorer.Window requires Bytes mode")
-	}
+	// Every early return hands the reference image back to the pool; the
+	// success path releases it sooner, before the fan-out, and Release is
+	// idempotent.
+	defer f.Release()
 	mem := f.MCU().Mem
 	base := mem.Stats().Writes
 	baseBytes := mem.Stats().BytesWritten
@@ -334,18 +338,11 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 		if pr.Reboots > out.WorstReboots {
 			out.WorstReboots = pr.Reboots
 		}
-		failed := map[string]bool{}
-		for _, fr := range pr.Failures {
-			failed[fr.Oracle] = true
+		for _, name := range baseOracles {
+			tally(out, name, pr.Failures)
 		}
-		oracles := []string{OracleAtomicity, OracleConsistency, OracleProgress, OracleIdempotence}
-		oracles = append(oracles, e.PostOracles...)
-		for _, name := range oracles {
-			if failed[name] {
-				out.OracleFail[name]++
-			} else {
-				out.OraclePass[name]++
-			}
+		for _, name := range e.PostOracles {
+			tally(out, name, pr.Failures)
 		}
 		if len(pr.Failures) > 0 {
 			out.Failed++
@@ -355,6 +352,21 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 		}
 	}
 	return out, nil
+}
+
+// baseOracles are the four oracles judge evaluates on every explored point.
+var baseOracles = [...]string{OracleAtomicity, OracleConsistency, OracleProgress, OracleIdempotence}
+
+// tally counts one explored point's verdict for one oracle: a fail when any
+// of the point's failures names it, a pass otherwise.
+func tally(out *ExploreReport, oracle string, fails []OracleFailure) {
+	for _, f := range fails {
+		if f.Oracle == oracle {
+			out.OracleFail[oracle]++
+			return
+		}
+	}
+	out.OraclePass[oracle]++
 }
 
 // schedule picks the crash points to explore: all of lo..hi, minus

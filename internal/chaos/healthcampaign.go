@@ -21,8 +21,31 @@ var healthKeys = []string{"tempCount", "avgTemp", "sentCount", "micData", "accel
 // crash: counters and one-shot flags no crash may lose or double-count.
 var healthExactKeys = []string{"tempCount", "micData", "accelData"}
 
+// buildHealth deploys a fresh health app on continuous power; mut, when
+// non-nil, adjusts the configuration or the app before core.New.
 func buildHealth(mut func(cfg *core.Config, app *health.App)) (*core.Framework, error) {
-	app := health.New()
+	return deployHealth(health.New(), health.Keys(), mut)
+}
+
+// sharedHealthBuild returns a Build function for an explorer that deploys
+// the health app with its configuration adjusted by mut (nil for none). The
+// app and its store keys are built once and shared by every deployment the
+// function builds, concurrent workers included, the way
+// health.CompiledShared shares the compiled spec: the task graph is
+// immutable and the tasks only read their App, so building them per crash
+// point would only make garbage (about a quarter of a point's heap
+// allocations). mut therefore gets the configuration only.
+func sharedHealthBuild(mut func(cfg *core.Config)) func() (*core.Framework, error) {
+	app, keys := health.New(), health.Keys()
+	var adjust func(cfg *core.Config, _ *health.App)
+	if mut != nil {
+		adjust = func(cfg *core.Config, _ *health.App) { mut(cfg) }
+	}
+	return func() (*core.Framework, error) { return deployHealth(app, keys, adjust) }
+}
+
+// deployHealth deploys app with the given store keys on continuous power.
+func deployHealth(app *health.App, keys []string, mut func(cfg *core.Config, app *health.App)) (*core.Framework, error) {
 	// The compiled Figure-5 program is immutable and process-wide; sharing
 	// it avoids re-parsing the spec for each of the hundreds-to-thousands
 	// of frameworks a campaign builds, and is safe for concurrent workers.
@@ -33,7 +56,7 @@ func buildHealth(mut func(cfg *core.Config, app *health.App)) (*core.Framework, 
 	cfg := core.Config{
 		System:    core.Artemis,
 		Graph:     app.Graph,
-		StoreKeys: health.Keys(),
+		StoreKeys: keys,
 		Compiled:  res,
 		Supply:    core.SupplyConfig{Kind: core.SupplyContinuous},
 	}
@@ -71,7 +94,7 @@ func healthInvariant(ref, got Outcome) error {
 // sampling of that many points.
 func NewHealthExplorer(seed int64, budget int) *Explorer {
 	return &Explorer{
-		Build:     func() (*core.Framework, error) { return buildHealth(nil) },
+		Build:     sharedHealthBuild(nil),
 		Keys:      healthKeys,
 		ExactKeys: healthExactKeys,
 		Invariant: healthInvariant,
@@ -213,13 +236,11 @@ func NewHealthFlipCampaign(seed int64, runs int, withIntegrity bool, flightDepth
 // unguarded sweep.
 func NewHealthIntegrityExplorer(seed int64, budget int) *Explorer {
 	return &Explorer{
-		Build: func() (*core.Framework, error) {
-			return buildHealth(func(cfg *core.Config, _ *health.App) {
-				cfg.Integrity = true
-				cfg.ScrubInterval = 100 * simclock.Millisecond
-				cfg.WatchdogLimit = 8
-			})
-		},
+		Build: sharedHealthBuild(func(cfg *core.Config) {
+			cfg.Integrity = true
+			cfg.ScrubInterval = 100 * simclock.Millisecond
+			cfg.WatchdogLimit = 8
+		}),
 		Keys:      healthKeys,
 		ExactKeys: healthExactKeys,
 		Invariant: healthInvariant,
@@ -278,11 +299,9 @@ func withSwapConfig(cfg *core.Config, link monitor.Link, corrupt func(chunk int,
 // transfer, and the swap landing exactly once.
 func NewHealthSwapExplorer(seed int64, budget int) *Explorer {
 	return &Explorer{
-		Build: func() (*core.Framework, error) {
-			return buildHealth(func(cfg *core.Config, _ *health.App) {
-				withSwapConfig(cfg, nil, nil)
-			})
-		},
+		Build: sharedHealthBuild(func(cfg *core.Config) {
+			withSwapConfig(cfg, nil, nil)
+		}),
 		Keys:      healthKeys,
 		ExactKeys: healthExactKeys,
 		Invariant: healthInvariant,
@@ -369,12 +388,10 @@ func NewHealthSwapCampaign(seed int64, runs, flightDepth int) *SwapCampaign {
 // and never perturbs the four base oracles.
 func NewHealthTelemetryExplorer(seed int64, budget int) *Explorer {
 	return &Explorer{
-		Build: func() (*core.Framework, error) {
-			return buildHealth(func(cfg *core.Config, _ *health.App) {
-				cfg.Telemetry = true
-				cfg.FlightDepth = 32
-			})
-		},
+		Build: sharedHealthBuild(func(cfg *core.Config) {
+			cfg.Telemetry = true
+			cfg.FlightDepth = 32
+		}),
 		Keys:        healthKeys,
 		ExactKeys:   healthExactKeys,
 		Invariant:   healthInvariant,

@@ -743,10 +743,7 @@ func (f *Framework) Run() (*Report, error) {
 		Footprints: map[string]int{},
 		Wear:       map[string]int64{},
 	}
-	for _, owner := range f.mcu.Mem.Owners() {
-		rep.Footprints[owner] = f.mcu.Mem.FootprintBy(owner)
-		rep.Wear[owner] = f.mcu.Mem.WearOf(owner)
-	}
+	f.mcu.Mem.OwnerTotals(rep.Footprints, rep.Wear)
 	if f.art != nil {
 		st := f.art.Stats()
 		rep.ArtemisStats = &st

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tinysystems/artemis-go/internal/energy"
 	"github.com/tinysystems/artemis-go/internal/nvm"
@@ -75,16 +76,18 @@ type MCU struct {
 	Prof   Profile
 
 	comp Component
-	// use caches breakdown[comp] so account() — called for every Exec,
-	// Idle, and peripheral op — mutates through a pointer instead of a
-	// map read-modify-write on a string key.
-	use       *Usage
-	breakdown map[Component]*Usage
-	// known caches the accumulators of the predeclared components so the
-	// SetComponent switches on the event hot path (runtime → monitor →
-	// runtime, twice per event) resolve through a string switch instead of
-	// a map lookup. breakdown stays the source of truth for reporting.
-	known     [5]*Usage
+	// use points at comp's accumulator so account() — called for every
+	// Exec, Idle, and peripheral op — mutates through a pointer instead of
+	// a map read-modify-write on a string key.
+	use *Usage
+	// known holds the accumulators of the five predeclared components
+	// inline, indexed by knownSlot, so the SetComponent switches on the
+	// event hot path (runtime → monitor → runtime, twice per event) resolve
+	// through a string switch and building an MCU allocates none of them.
+	// Any other label (custom components in tests) gets an accumulator in
+	// extra on first use.
+	known     [5]Usage
+	extra     map[Component]*Usage
 	lastStats nvm.Stats
 
 	// failAfter, when positive, forces a power failure after that much more
@@ -108,45 +111,43 @@ func NewMCU(clock *simclock.Clock, mem *nvm.Memory, supply energy.Supply, prof P
 		Supply:    supply,
 		Prof:      prof,
 		comp:      CompApp,
-		breakdown: make(map[Component]*Usage),
 		lastStats: mem.Stats(),
 	}
 	m.use = m.usage(CompApp)
 	return m, nil
 }
 
-// usage returns the (created-on-demand) accumulator for a component. The
-// five predeclared components resolve through the known cache; anything
-// else (custom labels in tests) falls back to the map.
-func (m *MCU) usage(c Component) *Usage {
-	var slot int
+// knownSlot returns the index of a predeclared component's accumulator in
+// MCU.known, or -1 for any other label.
+func knownSlot(c Component) int {
 	switch c {
 	case CompApp:
-		slot = 0
+		return 0
 	case CompRuntime:
-		slot = 1
+		return 1
 	case CompMonitor:
-		slot = 2
+		return 2
 	case CompIntegrity:
-		slot = 3
+		return 3
 	case CompTelemetry:
-		slot = 4
-	default:
-		return m.mapUsage(c)
+		return 4
 	}
-	u := m.known[slot]
-	if u == nil {
-		u = m.mapUsage(c)
-		m.known[slot] = u
-	}
-	return u
+	return -1
 }
 
-func (m *MCU) mapUsage(c Component) *Usage {
-	u := m.breakdown[c]
+// usage returns the accumulator for a component, creating it on first use
+// for a label other than the predeclared five.
+func (m *MCU) usage(c Component) *Usage {
+	if slot := knownSlot(c); slot >= 0 {
+		return &m.known[slot]
+	}
+	u := m.extra[c]
 	if u == nil {
+		if m.extra == nil {
+			m.extra = make(map[Component]*Usage)
+		}
 		u = &Usage{}
-		m.breakdown[c] = u
+		m.extra[c] = u
 	}
 	return u
 }
@@ -170,18 +171,38 @@ func (m *MCU) Component() Component { return m.comp }
 
 // UsageOf returns the accumulated cost of one component.
 func (m *MCU) UsageOf(c Component) Usage {
-	if u := m.breakdown[c]; u != nil {
+	if slot := knownSlot(c); slot >= 0 {
+		return m.known[slot]
+	}
+	if u := m.extra[c]; u != nil {
 		return *u
 	}
 	return Usage{}
 }
 
-// TotalUsage sums cost across all components.
+// TotalUsage sums cost across all components in a fixed order — the
+// predeclared components in knownSlot order, then any others by name — so
+// repeated calls agree to the last bit: floating-point addition is not
+// associative, so summing in map order would let the Energy total depend on
+// iteration order.
 func (m *MCU) TotalUsage() Usage {
 	var u Usage
-	for _, v := range m.breakdown {
+	add := func(v Usage) {
 		u.Time += v.Time
 		u.Energy += v.Energy
+	}
+	for _, v := range m.known {
+		add(v)
+	}
+	if len(m.extra) > 0 {
+		names := make([]Component, 0, len(m.extra))
+		for c := range m.extra {
+			names = append(names, c)
+		}
+		slices.Sort(names)
+		for _, c := range names {
+			add(*m.extra[c])
+		}
 	}
 	return u
 }

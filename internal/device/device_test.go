@@ -138,6 +138,29 @@ func TestComponentAttribution(t *testing.T) {
 	}
 }
 
+// TestTotalUsageOrderIndependent charges components with energies whose
+// floating-point sum depends on the order they are added in (1 + 1e-16 +
+// 1e-16 is 1, 1e-16 + 1e-16 + 1 is not) and requires TotalUsage to return
+// the bit-identical total on every call, for predeclared and custom
+// components alike.
+func TestTotalUsageOrderIndependent(t *testing.T) {
+	for _, comps := range [][]Component{
+		{CompApp, CompRuntime, CompMonitor},
+		{CompApp, "custom-b", "custom-a"},
+	} {
+		m := newTestMCU(t, &energy.Continuous{})
+		for i, e := range []energy.Joules{1, 1e-16, 1e-16} {
+			m.usage(comps[i]).Energy += e
+		}
+		first := math.Float64bits(float64(m.TotalUsage().Energy))
+		for call := 0; call < 100; call++ {
+			if got := math.Float64bits(float64(m.TotalUsage().Energy)); got != first {
+				t.Fatalf("%v: TotalUsage call %d energy bits %#x, first call %#x", comps, call, got, first)
+			}
+		}
+	}
+}
+
 func TestBrownOutRaisesPowerFailure(t *testing.T) {
 	supply, err := energy.NewFixedDelaySupply(energy.Microjoules(100), simclock.Minute)
 	if err != nil {

@@ -51,7 +51,7 @@ type Memory struct {
 	// next additionally counts the alignment padding the bump allocator
 	// inserts to keep every region 8-byte aligned.
 	used  int
-	allot []Allocation
+	allot []allocation
 	stats Stats
 
 	// Wear (endurance) accounting is kept per allocation *index*, not in an
@@ -148,6 +148,18 @@ type Allocation struct {
 	Name  string // variable name, e.g. "curTask"
 	Off   int
 	Size  int
+}
+
+// allocation is one entry of the allocation table. The name is kept as the
+// caller's base name plus a constant suffix (".a", ".b" and ".sel" for the
+// buffers and selector of a committed region, "" otherwise) and joined only
+// when Allocations or Region.Name is asked for, which no hot path does:
+// every deployment build allocates dozens of committed regions, and a
+// concatenated name per region would be a fifth of a crash point's heap
+// allocations.
+type allocation struct {
+	owner, name, suffix string
+	off, size           int
 }
 
 // New returns a zeroed FRAM of the given size in bytes.
@@ -310,7 +322,7 @@ func (m *Memory) Reboot() {
 
 // Alloc reserves size bytes for the given owner and variable name.
 func (m *Memory) Alloc(owner, name string, size int) (*Region, error) {
-	r, err := m.allocRegion(owner, name, size)
+	r, err := m.allocRegion(owner, name, "", size)
 	if err != nil {
 		return nil, err
 	}
@@ -319,20 +331,21 @@ func (m *Memory) Alloc(owner, name string, size int) (*Region, error) {
 
 // allocRegion is Alloc returning the Region by value, so composite
 // structures (Committed, Var) can embed their regions instead of holding
-// three separate heap objects each. Regions start 8-byte aligned: the bump
+// three separate heap objects each. The region is named name+suffix, where
+// suffix is a constant (see allocation). Regions start 8-byte aligned: the bump
 // pointer advances by the size rounded up to a whole word, which keeps every
 // word-sized store naturally aligned and the word-granular hash maintenance
 // on its fast path. The padding bytes belong to no region, are never
 // written, and are excluded from Used().
-func (m *Memory) allocRegion(owner, name string, size int) (Region, error) {
+func (m *Memory) allocRegion(owner, name, suffix string, size int) (Region, error) {
 	if size <= 0 {
-		return Region{}, fmt.Errorf("nvm: non-positive allocation %d for %s/%s", size, owner, name)
+		return Region{}, fmt.Errorf("nvm: non-positive allocation %d for %s/%s%s", size, owner, name, suffix)
 	}
 	if m.next+size > len(m.data) {
-		return Region{}, fmt.Errorf("nvm: out of memory allocating %d bytes for %s/%s (used %d of %d)",
-			size, owner, name, m.next, len(m.data))
+		return Region{}, fmt.Errorf("nvm: out of memory allocating %d bytes for %s/%s%s (used %d of %d)",
+			size, owner, name, suffix, m.next, len(m.data))
 	}
-	a := Allocation{Owner: owner, Name: name, Off: m.next, Size: size}
+	a := allocation{owner: owner, name: name, suffix: suffix, off: m.next, size: size}
 	idx := len(m.allot)
 	if idx == len(m.ownersAt) {
 		// First boot to reach this allocation index: record its owner for
@@ -343,7 +356,7 @@ func (m *Memory) allocRegion(owner, name string, size int) (Region, error) {
 	m.allot = append(m.allot, a)
 	m.used += size
 	m.next += (size + 7) &^ 7
-	return Region{mem: m, off: a.Off, size: size, owner: owner, name: name, idx: idx}, nil
+	return Region{mem: m, off: a.off, size: size, owner: owner, name: name, suffix: suffix, idx: idx}, nil
 }
 
 // stageBuf carves an n-byte zeroed staging buffer from the memory's bump
@@ -378,8 +391,8 @@ func (m *Memory) MustAlloc(owner, name string, size int) *Region {
 func (m *Memory) FootprintBy(owner string) int {
 	total := 0
 	for _, a := range m.allot {
-		if a.Owner == owner {
-			total += a.Size
+		if a.owner == owner {
+			total += a.size
 		}
 	}
 	return total
@@ -389,7 +402,7 @@ func (m *Memory) FootprintBy(owner string) int {
 func (m *Memory) Owners() []string {
 	seen := map[string]bool{}
 	for _, a := range m.allot {
-		seen[a.Owner] = true
+		seen[a.owner] = true
 	}
 	owners := make([]string, 0, len(seen))
 	for o := range seen {
@@ -399,10 +412,27 @@ func (m *Memory) Owners() []string {
 	return owners
 }
 
+// OwnerTotals adds, for every owner Owners lists, its FootprintBy to
+// footprint and its WearOf to wear, in two passes over the allocation table
+// rather than one owner list and two scans per owner. Run reports use it.
+func (m *Memory) OwnerTotals(footprint map[string]int, wear map[string]int64) {
+	for _, a := range m.allot {
+		footprint[a.owner] += a.size
+		wear[a.owner] += 0 // every owner gets an entry, worn or not
+	}
+	for i, o := range m.ownersAt {
+		if _, ok := footprint[o]; ok {
+			wear[o] += m.allotWear[i]
+		}
+	}
+}
+
 // Allocations returns a copy of the allocation table.
 func (m *Memory) Allocations() []Allocation {
 	out := make([]Allocation, len(m.allot))
-	copy(out, m.allot)
+	for i, a := range m.allot {
+		out[i] = Allocation{Owner: a.owner, Name: a.name + a.suffix, Off: a.off, Size: a.size}
+	}
 	return out
 }
 
@@ -769,11 +799,12 @@ func (m *Memory) WearOf(owner string) int64 {
 
 // Region is a named slice of FRAM.
 type Region struct {
-	mem   *Memory
-	off   int
-	size  int
-	owner string
-	name  string
+	mem    *Memory
+	off    int
+	size   int
+	owner  string
+	name   string
+	suffix string // constant; see allocation
 	// idx is this region's allocation index, passed to write() so wear
 	// attribution never has to search for the containing allocation. The
 	// Reboot contract (deterministic allocation sequence) keeps index i
@@ -788,7 +819,7 @@ func (r *Region) Size() int { return r.size }
 func (r *Region) Owner() string { return r.owner }
 
 // Name returns the variable name of the region.
-func (r *Region) Name() string { return r.name }
+func (r *Region) Name() string { return r.name + r.suffix }
 
 // check bounds one access; the panic construction is outlined into
 // checkFail so check itself stays within the inlining budget — region
@@ -803,7 +834,7 @@ func (r *Region) check(off, n int) {
 //go:noinline
 func (r *Region) checkFail(off, n int) {
 	panic(fmt.Sprintf("nvm: access [%d,%d) out of region %s/%s size %d",
-		off, off+n, r.owner, r.name, r.size))
+		off, off+n, r.owner, r.Name(), r.size))
 }
 
 // Read copies region bytes [off, off+len(p)) into p.
@@ -898,7 +929,7 @@ type Var[T Word] struct {
 
 // AllocVar reserves a persistent variable in m.
 func AllocVar[T Word](m *Memory, owner, name string) (*Var[T], error) {
-	r, err := m.allocRegion(owner, name, 8)
+	r, err := m.allocRegion(owner, name, "", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -1069,13 +1100,13 @@ func AllocCommitted(m *Memory, owner, name string, size int) (*Committed, error)
 	c := m.committedHeader()
 	c.size = size
 	var err error
-	if c.a, err = m.allocRegion(owner, name+".a", size); err != nil {
+	if c.a, err = m.allocRegion(owner, name, ".a", size); err != nil {
 		return nil, err
 	}
-	if c.b, err = m.allocRegion(owner, name+".b", size); err != nil {
+	if c.b, err = m.allocRegion(owner, name, ".b", size); err != nil {
 		return nil, err
 	}
-	if c.ownSel, err = m.allocRegion(owner, name+".sel", 1); err != nil {
+	if c.ownSel, err = m.allocRegion(owner, name, ".sel", 1); err != nil {
 		return nil, err
 	}
 	c.sel = &c.ownSel
@@ -1430,7 +1461,7 @@ type CommitGroup struct {
 func NewCommitGroup(m *Memory, owner, name string) (*CommitGroup, error) {
 	g := &CommitGroup{}
 	var err error
-	if g.sel, err = m.allocRegion(owner, name+".sel", 1); err != nil {
+	if g.sel, err = m.allocRegion(owner, name, ".sel", 1); err != nil {
 		return nil, err
 	}
 	return g, nil

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +50,62 @@ func TestAllocAndFootprint(t *testing.T) {
 	if got := len(m.Allocations()); got != 3 {
 		t.Fatalf("Allocations len = %d, want 3", got)
 	}
+}
+
+// TestAllocationNames checks the names the allocation table joins on
+// demand: a committed region's buffers and selector and a commit group's
+// selector carry their suffixes in Allocations and Region.Name.
+func TestAllocationNames(t *testing.T) {
+	m := New(1024)
+	r := m.MustAlloc("app", "raw", 4)
+	c := MustAllocCommitted(m, "app", "store", 8)
+	MustNewCommitGroup(m, "runtime", "boundary")
+	var names []string
+	for _, a := range m.Allocations() {
+		names = append(names, a.Owner+"/"+a.Name)
+	}
+	want := []string{"app/raw", "app/store.a", "app/store.b", "app/store.sel", "runtime/boundary.sel"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("Allocations names %v, want %v", names, want)
+	}
+	if r.Name() != "raw" || c.a.Name() != "store.a" || c.b.Name() != "store.b" || c.sel.Name() != "store.sel" {
+		t.Fatalf("Region names %q %q %q %q", r.Name(), c.a.Name(), c.b.Name(), c.sel.Name())
+	}
+}
+
+// TestOwnerTotalsMatchesPerOwner checks OwnerTotals against Owners,
+// FootprintBy and WearOf, including after a reboot whose boot re-allocates
+// only part of the previous layout.
+func TestOwnerTotalsMatchesPerOwner(t *testing.T) {
+	m := New(1024)
+	boot := func(full bool) {
+		m.MustAlloc("runtime", "a", 16).Write(0, make([]byte, 10))
+		c := MustAllocCommitted(m, "monitor", "m", 8)
+		c.Write(0, []byte{1, 2, 3})
+		c.Commit()
+		if full {
+			m.MustAlloc("app", "z", 8).WriteUint64(0, 7)
+		}
+	}
+	check := func(stage string) {
+		fp, wear := map[string]int{}, map[string]int64{}
+		m.OwnerTotals(fp, wear)
+		owners := m.Owners()
+		if len(fp) != len(owners) || len(wear) != len(owners) {
+			t.Fatalf("%s: OwnerTotals keys %v %v, owners %v", stage, fp, wear, owners)
+		}
+		for _, o := range owners {
+			if fp[o] != m.FootprintBy(o) || wear[o] != m.WearOf(o) {
+				t.Fatalf("%s: owner %s: OwnerTotals (%d, %d), per owner (%d, %d)",
+					stage, o, fp[o], wear[o], m.FootprintBy(o), m.WearOf(o))
+			}
+		}
+	}
+	boot(true)
+	check("first boot")
+	m.Reboot()
+	boot(false)
+	check("partial reboot")
 }
 
 func TestAllocErrors(t *testing.T) {

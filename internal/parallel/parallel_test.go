@@ -144,6 +144,38 @@ func TestMapShuffledDispatchKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestMapRunsEachItemOnce checks the claim loop hands every index to
+// exactly one worker, in order and under a permuted dispatch, with more
+// workers than CPUs and with the item count not a multiple of the workers.
+func TestMapRunsEachItemOnce(t *testing.T) {
+	reverse := func(n int) []int {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = n - 1 - i
+		}
+		return perm
+	}
+	defer SetDispatchOrderForTesting(nil)
+	for _, hook := range []func(int) []int{nil, reverse} {
+		SetDispatchOrderForTesting(hook)
+		for _, workers := range []int{2, 3, 8} {
+			runs := make([]atomic.Int32, 997)
+			_, err := Map(context.Background(), make([]struct{}, len(runs)), workers, func(_ context.Context, idx int, _ struct{}) (struct{}, error) {
+				runs[idx].Add(1)
+				return struct{}{}, nil
+			})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			for i := range runs {
+				if n := runs[i].Load(); n != 1 {
+					t.Fatalf("workers=%d permuted=%v: item %d ran %d times", workers, hook != nil, i, n)
+				}
+			}
+		}
+	}
+}
+
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())

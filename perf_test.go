@@ -15,11 +15,11 @@ import (
 // singleRunAllocBudget is the allocation ceiling for one complete health
 // benchmark run under ARTEMIS on continuous power, with the spec compiled
 // once and the NVM image pool warm (the BenchmarkSingleRunArtemis
-// workload). The measured steady state is ~233 allocs/op; the budget leaves
+// workload). The measured steady state is ~59 allocs/op; the budget leaves
 // headroom for runtime-version noise while still catching any per-event or
-// per-write allocation sneaking back into the dispatch path, which costs
-// hundreds of allocations per run at once.
-const singleRunAllocBudget = 350
+// per-write allocation sneaking back into the dispatch path (hundreds per
+// run at once) and per-region name concatenation coming back (~30).
+const singleRunAllocBudget = 75
 
 func TestSingleRunArtemisAllocBudget(t *testing.T) {
 	if raceEnabled {
