@@ -62,18 +62,6 @@ const (
 	statusFinished = 1
 )
 
-// ErrStuck reports that the runtime looped without making progress on
-// continuous power (e.g. an ill-specified property that restarts a path
-// forever with no failure possible). The reboot budget cannot catch this
-// case because no power failure occurs.
-var ErrStuck = errors.New("artemis: no progress within the step budget")
-
-// ErrCorrupt reports that a value loaded from the persistent control region
-// failed validation (a soft error flipped bits the integrity layer could
-// not repair, or integrity is disabled). It is a typed, recoverable error
-// — never a panic — so fault campaigns can classify it as a detection.
-var ErrCorrupt = errors.New("artemis: persistent control state corrupted")
-
 // Reprogrammer is the over-the-air reprogramming hook contract, satisfied
 // by internal/ota.Manager. Declared here so the dependency arrow points
 // from the OTA layer at the runtime, not the other way around.
@@ -173,6 +161,8 @@ type Stats struct {
 type Runtime struct {
 	cfg   Config
 	state *controlState
+	// cur is the task-graph position, in words of the control region.
+	cur   task.Cursor
 	init  *nvm.Var[bool]
 	stats Stats
 	// loose holds Extras that could not join the shared commit group and
@@ -185,7 +175,8 @@ type Runtime struct {
 	ctx task.Ctx
 }
 
-// Control-region word layout.
+// Control-region word layout. The cursor's words are 0, 1, 3 and 4
+// (cursorAt); the task status sits between them.
 const (
 	wPathIdx = iota
 	wTaskIdx
@@ -205,10 +196,8 @@ const (
 	wWords      // count
 )
 
-// ControlWords is the control-region size in 8-byte words, exported so the
-// memory accounting (Table 2) derives the runtime's staging footprint from
-// the real layout instead of a hardcoded constant.
-const ControlWords = wWords
+// cursorAt places the task-graph cursor in the control region.
+var cursorAt = task.Layout{Path: wPathIdx, Task: wTaskIdx, Round: wRound, Done: wAppDone}
 
 // watchPosValid marks wWatchPos as holding a real position: it
 // disambiguates the initial all-zero word from a legitimate boot at
@@ -244,9 +233,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.MCU == nil || cfg.Graph == nil || cfg.Store == nil || cfg.Monitors == nil {
 		return nil, errors.New("artemis: Config needs MCU, Graph, Store, and Monitors")
 	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 1
-	}
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 1_000_000
 	}
@@ -276,8 +262,10 @@ func New(cfg Config) (*Runtime, error) {
 	r := &Runtime{
 		cfg:   cfg,
 		state: &controlState{c: c},
+		cur:   task.NewCursor(c, cfg.Graph, cfg.Rounds, cursorAt),
 		init:  initDone,
 		stats: Stats{Decisions: map[action.Action]int{}},
+		ctx:   task.Ctx{MCU: cfg.MCU, Store: cfg.Store},
 	}
 	for _, e := range cfg.Extras {
 		if j, ok := e.(interface{ Join(*nvm.CommitGroup) }); ok {
@@ -296,6 +284,9 @@ func New(cfg Config) (*Runtime, error) {
 
 // Stats returns the decision counters accumulated so far.
 func (r *Runtime) Stats() Stats { return r.stats }
+
+// Cursor returns the runtime's persistent position in the task graph.
+func (r *Runtime) Cursor() *task.Cursor { return &r.cur }
 
 // Boot is the runtime entry point, invoked by the device on every power-up
 // (Figure 8's main). It performs the one-time hard reset, finalises any
@@ -350,7 +341,7 @@ func (r *Runtime) Boot() error {
 
 	for steps := 0; ; steps++ {
 		if steps > r.cfg.MaxSteps {
-			return ErrStuck
+			return task.ErrStuck
 		}
 		if r.cfg.Integrity != nil {
 			r.cfg.Integrity.Tick(mcu.Now())
@@ -370,28 +361,13 @@ func (r *Runtime) Boot() error {
 }
 
 // validateControl bounds-checks every control word an indexing operation
-// trusts. It reads the volatile stage (what the runtime will actually use),
-// costs nothing persistent, and turns a corrupted load into a typed error
-// instead of an index-out-of-range panic.
+// trusts: the cursor's, then the task status.
 func (r *Runtime) validateControl() error {
-	s := r.state
-	if s.getB(wAppDone) {
-		return nil
+	if err := r.cur.Check(); err != nil || r.cur.Done() {
+		return err
 	}
-	paths := r.cfg.Graph.Paths
-	pi := s.getI(wPathIdx)
-	if pi < 0 || int(pi) >= len(paths) {
-		return fmt.Errorf("%w: path index %d out of range [0,%d)", ErrCorrupt, pi, len(paths))
-	}
-	ti := s.getI(wTaskIdx)
-	if ti < 0 || int(ti) >= len(paths[pi].Tasks) {
-		return fmt.Errorf("%w: task index %d out of range in path %d", ErrCorrupt, ti, paths[pi].ID)
-	}
-	if st := s.getI(wStatus); st != statusReady && st != statusFinished {
-		return fmt.Errorf("%w: task status %d", ErrCorrupt, st)
-	}
-	if rd := s.getI(wRound); rd < 0 || rd >= int64(r.cfg.Rounds) {
-		return fmt.Errorf("%w: round %d out of range [0,%d)", ErrCorrupt, rd, r.cfg.Rounds)
+	if st := r.state.getI(wStatus); st != statusReady && st != statusFinished {
+		return fmt.Errorf("%w: task status %d", task.ErrCorrupt, st)
 	}
 	return nil
 }
@@ -404,11 +380,11 @@ func (r *Runtime) watchdog() error {
 		return nil
 	}
 	s := r.state
-	if s.getB(wAppDone) {
+	if r.cur.Done() {
 		return nil
 	}
-	pos := watchPosValid |
-		uint64(s.getI(wRound))<<40 | uint64(s.getI(wPathIdx))<<20 | uint64(s.getI(wTaskIdx))
+	round, path, ti := r.cur.Position()
+	pos := watchPosValid | uint64(round)<<40 | uint64(path)<<20 | uint64(ti)
 	if s.get(wWatchPos) != pos {
 		// Progress since the last boot: restart the count here.
 		s.set(wWatchPos, pos)
@@ -439,7 +415,7 @@ func (r *Runtime) escalateWatchdog() error {
 		r.finishCompleteMode()
 		return nil
 	}
-	pathID := r.currentPath().ID
+	pathID := r.cur.Path().ID
 	dec := monitor.Decide([]ir.Failure{{
 		Machine: "watchdog",
 		Action:  action.SkipPath,
@@ -451,7 +427,7 @@ func (r *Runtime) escalateWatchdog() error {
 			Seq: s.get(wEvSeq),
 			Event: ir.Event{
 				Kind: ir.EvStart,
-				Task: r.currentTask().Name,
+				Task: r.cur.Task().Name,
 				Time: r.cfg.MCU.Now(),
 				Path: pathID,
 			},
@@ -480,20 +456,19 @@ func (r *Runtime) drainQuarantine() error {
 
 func (r *Runtime) escalateQuarantine(g *integrity.Guard) error {
 	if g.Class() == integrity.ClassControl {
-		return fmt.Errorf("%w: guard %s quarantined with no usable shadow", ErrCorrupt, g.Name())
+		return fmt.Errorf("%w: guard %s quarantined with no usable shadow", task.ErrCorrupt, g.Name())
 	}
-	s := r.state
-	if s.getB(wAppDone) {
+	if r.cur.Done() {
 		return nil
 	}
 	if err := r.validateControl(); err != nil {
 		return err
 	}
-	if s.getB(wCompleteMode) {
+	if r.state.getB(wCompleteMode) {
 		r.finishCompleteMode()
 		return nil
 	}
-	pathID := r.currentPath().ID
+	pathID := r.cur.Path().ID
 	dec := monitor.Decide([]ir.Failure{{
 		Machine: "integrity:" + g.Name(),
 		Action:  action.SkipPath,
@@ -517,20 +492,10 @@ func (r *Runtime) hardReset() {
 	r.init.Set(true)
 }
 
-// currentPath returns the path under execution.
-func (r *Runtime) currentPath() *task.Path {
-	return r.cfg.Graph.Paths[r.state.getI(wPathIdx)]
-}
-
-// currentTask returns the task under execution.
-func (r *Runtime) currentTask() *task.Task {
-	return r.currentPath().Tasks[r.state.getI(wTaskIdx)]
-}
-
 // step executes one main-loop iteration; it reports application completion.
 func (r *Runtime) step() (bool, error) {
 	s := r.state
-	if s.getB(wAppDone) {
+	if r.cur.Done() {
 		return true, nil
 	}
 	// A scrub-pass repair (shadow restore, monitor reset) can rewrite the
@@ -554,7 +519,7 @@ func (r *Runtime) handleStart() error {
 	if s.getB(wEvDelivered) {
 		// New start event; restamped on every re-execution attempt.
 		r.newEvent(ir.EvStart, r.cfg.MCU.Now(), 0)
-		r.cfg.Telemetry.TaskStart(r.currentTask().Name, r.currentPath().ID,
+		r.cfg.Telemetry.TaskStart(r.cur.Task().Name, r.cur.Path().ID,
 			simclock.Time(s.getI(wEvTime)))
 	}
 	dec, err := r.deliver()
@@ -599,7 +564,7 @@ func (r *Runtime) handleEnd() error {
 		// verbatim on replays (§4.1.3).
 		data := r.depData()
 		r.newEvent(ir.EvEnd, simclock.Time(s.getI(wFinishTime)), data)
-		r.cfg.Telemetry.TaskEnd(r.currentTask().Name, r.currentPath().ID,
+		r.cfg.Telemetry.TaskEnd(r.cur.Task().Name, r.cur.Path().ID,
 			simclock.Time(s.getI(wFinishTime)), data)
 	}
 	dec, err := r.deliver()
@@ -650,7 +615,7 @@ func (r *Runtime) newEvent(kind ir.EventKind, at simclock.Time, data float64) {
 
 // depData reads the finished task's dependent data value from the store.
 func (r *Runtime) depData() float64 {
-	t := r.currentTask()
+	t := r.cur.Task()
 	if t.DepData == "" || !r.cfg.Store.Has(t.DepData) {
 		return 0
 	}
@@ -666,9 +631,9 @@ func (r *Runtime) deliver() (monitor.Decision, error) {
 		Seq: s.get(wEvSeq),
 		Event: ir.Event{
 			Kind:   ir.EventKind(s.getI(wEvKind)),
-			Task:   r.currentTask().Name,
+			Task:   r.cur.Task().Name,
 			Time:   simclock.Time(s.getI(wEvTime)),
-			Path:   r.currentPath().ID,
+			Path:   r.cur.Path().ID,
 			Data:   math.Float64frombits(s.get(wEvData)),
 			Energy: math.Float64frombits(s.get(wEvEnergy)),
 		},
@@ -682,7 +647,7 @@ func (r *Runtime) deliver() (monitor.Decision, error) {
 		return monitor.Decision{}, err
 	}
 	r.stats.Events++
-	dec := monitor.Decide(failures, r.currentPath().ID)
+	dec := monitor.Decide(failures, r.cur.Path().ID)
 	if dec.Action != action.None {
 		r.stats.Decisions[dec.Action]++
 		if r.cfg.OnDecision != nil {
@@ -698,13 +663,9 @@ func (r *Runtime) deliver() (monitor.Decision, error) {
 // status — all atomic with respect to power failures.
 func (r *Runtime) runCurrentTask() error {
 	mcu := r.cfg.MCU
-	t := r.currentTask()
-	r.ctx = task.Ctx{MCU: mcu, Store: r.cfg.Store, Task: t}
-	prev := mcu.SetComponent(device.CompApp)
-	err := t.Execute(&r.ctx)
-	mcu.SetComponent(prev)
-	if err != nil {
-		return fmt.Errorf("artemis: task %s: %w", t.Name, err)
+	t := r.cur.Task()
+	if err := r.ctx.Run(t); err != nil {
+		return err
 	}
 	r.stats.TaskRuns++
 	// Task boundary: stage the control advance, then one shared-selector
@@ -721,7 +682,7 @@ func (r *Runtime) runCurrentTask() error {
 	s.setI(wStatus, statusFinished)
 	s.setB(wEvDelivered, true)
 	s.commit()
-	r.cfg.Telemetry.TaskCommit(t.Name, r.currentPath().ID, mcu.Now())
+	r.cfg.Telemetry.TaskCommit(t.Name, r.cur.Path().ID, mcu.Now())
 	// Task boundary: the runtime swap point. The committed control state
 	// says this task is done and no event is in flight, so a reprogramming
 	// step (or a power failure inside one) never tears application state.
@@ -738,7 +699,7 @@ func (r *Runtime) runCurrentTask() error {
 // action.None — the device keeps running on the previous bundle — but a
 // hook returning a corrective action is honoured like any other decision.
 func (r *Runtime) reportSwap(fs []ir.Failure) {
-	pathID := r.currentPath().ID
+	pathID := r.cur.Path().ID
 	dec := monitor.Decide(fs, pathID)
 	if dec.Action == action.None {
 		return
@@ -749,7 +710,7 @@ func (r *Runtime) reportSwap(fs []ir.Failure) {
 			Seq: r.state.get(wEvSeq),
 			Event: ir.Event{
 				Kind: ir.EvEnd,
-				Task: r.currentTask().Name,
+				Task: r.cur.Task().Name,
 				Time: r.cfg.MCU.Now(),
 				Path: pathID,
 			},
@@ -768,38 +729,22 @@ func (r *Runtime) reportSwap(fs []ir.Failure) {
 
 // advanceTask moves to the next task, next path, next round, or completion.
 func (r *Runtime) advanceTask() {
-	s := r.state
-	path := r.currentPath()
-	next := s.getI(wTaskIdx) + 1
-	if int(next) < len(path.Tasks) {
-		s.setI(wTaskIdx, next)
-		s.setI(wStatus, statusReady)
-		s.setB(wEvDelivered, true)
-		s.commit()
-		return
+	if !r.cur.NextTask() {
+		r.cur.NextPath()
 	}
-	r.advancePath()
+	r.commitMove()
 }
 
-// advancePath moves to the next path (or round, or completion).
-func (r *Runtime) advancePath() {
+// commitMove makes a cursor move durable. The task the cursor moved to
+// starts ready with no event in flight; a finished walk leaves the status
+// words as they were, so the terminal event's delivery bit stays the one
+// the last decision left.
+func (r *Runtime) commitMove() {
 	s := r.state
-	nextPath := s.getI(wPathIdx) + 1
-	if int(nextPath) < len(r.cfg.Graph.Paths) {
-		s.setI(wPathIdx, nextPath)
-	} else {
-		round := s.getI(wRound) + 1
-		if int(round) >= r.cfg.Rounds {
-			s.setB(wAppDone, true)
-			s.commit()
-			return
-		}
-		s.setI(wRound, round)
-		s.setI(wPathIdx, 0)
+	if !r.cur.Done() {
+		s.setI(wStatus, statusReady)
+		s.setB(wEvDelivered, true)
 	}
-	s.setI(wTaskIdx, 0)
-	s.setI(wStatus, statusReady)
-	s.setB(wEvDelivered, true)
 	s.commit()
 }
 
@@ -807,17 +752,15 @@ func (r *Runtime) advancePath() {
 // to its first task.
 func (r *Runtime) restartPath(pathID int) {
 	r.cfg.Monitors.ResetPath(pathID)
-	s := r.state
-	s.setI(wTaskIdx, 0)
-	s.setI(wStatus, statusReady)
-	s.setB(wEvDelivered, true)
-	s.commit()
+	r.cur.Rewind()
+	r.commitMove()
 }
 
 // skipPath abandons the current path and proceeds to the next one.
 func (r *Runtime) skipPath(pathID int) {
 	r.cfg.Monitors.ResetPath(pathID)
-	r.advancePath()
+	r.cur.NextPath()
+	r.commitMove()
 }
 
 // enterCompleteMode implements completePath (Table 1): the rest of the
@@ -825,21 +768,14 @@ func (r *Runtime) skipPath(pathID int) {
 // this round; monitored execution resumes at the next round (the preserved
 // next task is the following round's first task).
 func (r *Runtime) enterCompleteMode() {
-	s := r.state
-	s.setB(wCompleteMode, true)
-	if s.getI(wStatus) == statusFinished {
-		// The violating task completed; continue after it.
-		path := r.currentPath()
-		next := s.getI(wTaskIdx) + 1
-		if int(next) >= len(path.Tasks) {
-			r.finishCompleteMode()
-			return
-		}
-		s.setI(wTaskIdx, next)
+	r.state.setB(wCompleteMode, true)
+	// A violating task that completed continues after itself; when it was
+	// the path's last, the path is over.
+	if r.state.getI(wStatus) == statusFinished && !r.cur.NextTask() {
+		r.finishCompleteMode()
+		return
 	}
-	s.setI(wStatus, statusReady)
-	s.setB(wEvDelivered, true)
-	s.commit()
+	r.commitMove()
 }
 
 // stepUnmonitored runs one task of the completing path without events.
@@ -847,37 +783,22 @@ func (r *Runtime) stepUnmonitored() (bool, error) {
 	if err := r.runCurrentTask(); err != nil {
 		return false, err
 	}
-	s := r.state
-	path := r.currentPath()
-	next := s.getI(wTaskIdx) + 1
-	if int(next) < len(path.Tasks) {
-		s.setI(wTaskIdx, next)
-		s.setI(wStatus, statusReady)
-		s.commit()
+	if r.cur.NextTask() {
+		r.state.setI(wStatus, statusReady)
+		r.state.commit()
 		return false, nil
 	}
 	r.finishCompleteMode()
-	return r.state.getB(wAppDone), nil
+	return r.cur.Done(), nil
 }
 
 // finishCompleteMode ends the completing path: no further paths execute
 // this round ("immediate termination of the current path without executing
 // any further paths").
 func (r *Runtime) finishCompleteMode() {
-	s := r.state
-	s.setB(wCompleteMode, false)
-	round := s.getI(wRound) + 1
-	if int(round) >= r.cfg.Rounds {
-		s.setB(wAppDone, true)
-		s.commit()
-		return
-	}
-	s.setI(wRound, round)
-	s.setI(wPathIdx, 0)
-	s.setI(wTaskIdx, 0)
-	s.setI(wStatus, statusReady)
-	s.setB(wEvDelivered, true)
-	s.commit()
+	r.state.setB(wCompleteMode, false)
+	r.cur.NextRound()
+	r.commitMove()
 }
 
 // Snapshot reports the persistent control state, for tests and tools.
@@ -897,19 +818,20 @@ type Snapshot struct {
 // than panicking, so crash explorers can capture any terminal state.
 func (r *Runtime) Snapshot() Snapshot {
 	s := r.state
+	round, pi, ti := r.cur.Position()
 	snap := Snapshot{
 		PathID:    -1,
 		Status:    s.getI(wStatus),
-		Round:     s.getI(wRound),
-		Done:      s.getB(wAppDone),
+		Round:     round,
+		Done:      r.cur.Done(),
 		Complete:  s.getB(wCompleteMode),
 		EventSeq:  s.get(wEvSeq),
 		Delivered: s.getB(wEvDelivered),
 	}
-	if pi := s.getI(wPathIdx); pi >= 0 && int(pi) < len(r.cfg.Graph.Paths) {
+	if pi >= 0 && int(pi) < len(r.cfg.Graph.Paths) {
 		p := r.cfg.Graph.Paths[pi]
 		snap.PathID = p.ID
-		if ti := s.getI(wTaskIdx); ti >= 0 && int(ti) < len(p.Tasks) {
+		if ti >= 0 && int(ti) < len(p.Tasks) {
 			snap.TaskName = p.Tasks[ti].Name
 		}
 	}

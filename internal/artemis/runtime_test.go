@@ -287,8 +287,8 @@ func TestUnsatisfiablePropertyReportsStuck(t *testing.T) {
 	}
 	dev := &device.Device{MCU: mcu, MaxReboots: 10}
 	_, err = dev.Run(rt.Boot)
-	if !errors.Is(err, ErrStuck) {
-		t.Fatalf("err = %v, want ErrStuck", err)
+	if !errors.Is(err, task.ErrStuck) {
+		t.Fatalf("err = %v, want task.ErrStuck", err)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/tinysystems/artemis-go/internal/artemis"
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/integrity"
 	"github.com/tinysystems/artemis-go/internal/monitor"
 	"github.com/tinysystems/artemis-go/internal/parallel"
+	"github.com/tinysystems/artemis-go/internal/task"
 )
 
 // RadioCampaign exercises the remote-monitor deployment over a lossy,
@@ -405,7 +405,7 @@ func (c *FlipCampaign) Run() (*FlipReport, error) {
 			case rep == nil: // panicked
 				v.crashed = true
 				v.crashLog = fmt.Sprintf("%s: %v", where, err)
-			case v.ist.Quarantines > 0 || errors.Is(err, artemis.ErrCorrupt):
+			case v.ist.Quarantines > 0 || errors.Is(err, task.ErrCorrupt):
 				// Flagged, but beyond repair: the layer detected the
 				// corruption and failed safe instead of computing on bad data.
 				v.unrec = true

@@ -37,7 +37,8 @@ type Outcome struct {
 	Outputs map[string]float64
 	// MonitorState maps machine name to its final state name.
 	MonitorState map[string]string
-	// Done and Delivered mirror the runtime control snapshot.
+	// Done is the runtime cursor's done word. Delivered is ARTEMIS's
+	// terminal event-delivered bit (false for the other runtimes).
 	Done      bool
 	Delivered bool
 }
@@ -59,9 +60,9 @@ func capture(f *core.Framework, rep *core.Report, keys []string) Outcome {
 			out.MonitorState[m.Machine().Name] = m.State()
 		}
 	}
+	out.Done = f.Cursor().Done()
 	if rt := f.Artemis(); rt != nil {
-		snap := rt.Snapshot()
-		out.Done, out.Delivered = snap.Done, snap.Delivered
+		out.Delivered = rt.Snapshot().Delivered
 		st := rt.Stats()
 		out.Recoveries = st.Recoveries
 		out.TaskSkips = st.TaskSkips

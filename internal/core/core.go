@@ -267,6 +267,8 @@ type Framework struct {
 	dev   *device.Device
 	store *task.Store
 
+	// rt is whichever of art, may and fresh the deployment runs.
+	rt     taskRuntime
 	art    *artemis.Runtime
 	may    *mayfly.Runtime
 	fresh  *freshness.Runtime
@@ -286,6 +288,13 @@ type Framework struct {
 	// injected counts events delivered through InjectEvent, so external
 	// sequence numbers keep advancing past the runtime's persistent counter.
 	injected uint64
+}
+
+// taskRuntime is what the framework drives in every runtime: the boot entry
+// point and the persistent task-graph cursor they all walk.
+type taskRuntime interface {
+	Boot() error
+	Cursor() *task.Cursor
 }
 
 // New assembles a deployment.
@@ -464,7 +473,7 @@ func New(cfg Config) (*Framework, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.art, f.mons, f.res = rt, mons, res
+		f.rt, f.art, f.mons, f.res = rt, rt, mons, res
 		if integ != nil {
 			// The runtime guarded its control region during construction
 			// (after all commit-group joins); wrap the remaining persistent
@@ -487,7 +496,7 @@ func New(cfg Config) (*Framework, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.may = rt
+		f.rt, f.may = rt, rt
 	case Ocelot:
 		bounds := freshness.InferBounds(cfg.Graph, cfg.FreshnessBounds, cfg.FreshnessDefault)
 		rt, err := freshness.New(freshness.Config{
@@ -497,7 +506,7 @@ func New(cfg Config) (*Framework, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.fresh = rt
+		f.rt, f.fresh = rt, rt
 	default:
 		return nil, fmt.Errorf("core: unknown system %v", cfg.System)
 	}
@@ -685,6 +694,11 @@ func (f *Framework) Artemis() *artemis.Runtime { return f.art }
 // systems.
 func (f *Framework) Ocelot() *freshness.Runtime { return f.fresh }
 
+// Cursor returns the running runtime's persistent position in the task
+// graph, whichever runtime it is, so harnesses can read where a run stopped
+// and whether it finished.
+func (f *Framework) Cursor() *task.Cursor { return f.rt.Cursor() }
+
 // Remote returns the remote monitor deployment, or nil when monitors run
 // on-device.
 func (f *Framework) Remote() *monitor.Remote { return f.remote }
@@ -720,16 +734,7 @@ func (f *Framework) OnReboot(fn func(n int, off simclock.Duration)) {
 // non-termination, which is reported in the Report rather than as an error
 // — it is a measured outcome of the experiments).
 func (f *Framework) Run() (*Report, error) {
-	var boot func() error
-	switch {
-	case f.art != nil:
-		boot = f.art.Boot
-	case f.fresh != nil:
-		boot = f.fresh.Boot
-	default:
-		boot = f.may.Boot
-	}
-	res, err := f.dev.Run(boot)
+	res, err := f.dev.Run(f.rt.Boot)
 	rep := &Report{
 		System:    f.cfg.System,
 		RunResult: res,
@@ -765,9 +770,7 @@ func (f *Framework) Run() (*Report, error) {
 		rep.OTA = &st
 	}
 	if err != nil {
-		if errors.Is(err, device.ErrNonTermination) ||
-			errors.Is(err, artemis.ErrStuck) || errors.Is(err, mayfly.ErrStuck) ||
-			errors.Is(err, freshness.ErrStuck) {
+		if errors.Is(err, device.ErrNonTermination) || errors.Is(err, task.ErrStuck) {
 			rep.NonTerminated = true
 			return rep, nil
 		}

@@ -91,34 +91,7 @@ func sweep[I, O any](o Options, items []I, fn func(i int, item I) (O, error)) ([
 
 // runHealth executes the benchmark once on the chosen system and supply.
 func runHealth(system core.System, supply core.SupplyConfig, o Options, hook func(*core.Config)) (*core.Report, Outcome, error) {
-	app := health.NewWithTemp(o.BodyTemp)
-	cfg := core.Config{
-		System:     system,
-		Graph:      app.Graph,
-		StoreKeys:  health.Keys(),
-		Supply:     supply,
-		MaxReboots: o.NonTermReboots,
-	}
-	switch system {
-	case core.Mayfly:
-		cfg.Constraints = mayfly.HealthConstraints()
-	case core.Ocelot:
-		// The enforced counterpart of the spec's MITD: accel data consumed
-		// by send at most 5 minutes old.
-		cfg.FreshnessBounds = freshness.HealthBounds()
-	default:
-		// Compile the Figure-5 spec once per process instead of once per
-		// run; the result is immutable and shared by concurrent sweeps.
-		res, err := health.CompiledShared()
-		if err != nil {
-			return nil, Outcome{}, err
-		}
-		cfg.Compiled = res
-	}
-	if hook != nil {
-		hook(&cfg)
-	}
-	f, err := core.New(cfg)
+	f, err := deployHealth(system, supply, o, hook)
 	if err != nil {
 		return nil, Outcome{}, err
 	}
@@ -142,6 +115,40 @@ func runHealth(system core.System, supply core.SupplyConfig, o Options, hook fun
 		out.PathRestarts = rep.MayflyStats.PathRestarts
 	}
 	return rep, out, nil
+}
+
+// deployHealth builds the benchmark on the chosen system and supply, with
+// the system's property set; hook, when non-nil, adjusts the configuration
+// last.
+func deployHealth(system core.System, supply core.SupplyConfig, o Options, hook func(*core.Config)) (*core.Framework, error) {
+	app := health.NewWithTemp(o.BodyTemp)
+	cfg := core.Config{
+		System:     system,
+		Graph:      app.Graph,
+		StoreKeys:  health.Keys(),
+		Supply:     supply,
+		MaxReboots: o.NonTermReboots,
+	}
+	switch system {
+	case core.Mayfly:
+		cfg.Constraints = mayfly.HealthConstraints()
+	case core.Ocelot:
+		// The enforced counterpart of the spec's MITD: accel data consumed
+		// by send at most 5 minutes old.
+		cfg.FreshnessBounds = freshness.HealthBounds()
+	default:
+		// Compile the Figure-5 spec once per process instead of once per
+		// run; the result is immutable and shared by concurrent sweeps.
+		res, err := health.CompiledShared()
+		if err != nil {
+			return nil, err
+		}
+		cfg.Compiled = res
+	}
+	if hook != nil {
+		hook(&cfg)
+	}
+	return core.New(cfg)
 }
 
 func fixedDelay(budgetUJ float64, delay simclock.Duration) core.SupplyConfig {

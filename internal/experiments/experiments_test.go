@@ -230,6 +230,19 @@ func TestTable2Shape(t *testing.T) {
 	if integ.RAM <= 0 {
 		t.Errorf("integrity RAM %d, want positive", integ.RAM)
 	}
+	// RAM and FRAM are summed from the NVM allocation table; pin the
+	// benchmark's figures so a layout change shows up here.
+	for comp, want := range map[string][2]int{
+		"Mayfly runtime":                      {32, 281},
+		"Ocelot freshness runtime":            {40, 91},
+		"ARTEMIS runtime":                     {120, 250},
+		"ARTEMIS monitor (generated)":         {768, 1544},
+		"ARTEMIS integrity guards (optional)": {80, 178},
+	} {
+		if r := byComp[comp]; r.RAM != want[0] || r.FRAM != want[1] {
+			t.Errorf("%s: RAM %d FRAM %d, want %d and %d", comp, r.RAM, r.FRAM, want[0], want[1])
+		}
+	}
 	if out := RenderTable2(rows); !strings.Contains(out, "FRAM") {
 		t.Errorf("render incomplete:\n%s", out)
 	}

@@ -5,19 +5,26 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 
 	"github.com/tinysystems/artemis-go/internal/artemis"
 	"github.com/tinysystems/artemis-go/internal/codegen"
 	"github.com/tinysystems/artemis-go/internal/core"
+	"github.com/tinysystems/artemis-go/internal/freshness"
 	"github.com/tinysystems/artemis-go/internal/health"
+	"github.com/tinysystems/artemis-go/internal/integrity"
+	"github.com/tinysystems/artemis-go/internal/mayfly"
+	"github.com/tinysystems/artemis-go/internal/monitor"
+	"github.com/tinysystems/artemis-go/internal/nvm"
 	"github.com/tinysystems/artemis-go/internal/trace"
 )
 
 // Table2Row reports one component's memory requirements, the Table-2
 // columns translated to this reproduction's measurable quantities:
 //
-//   - Text is the code-size proxy: bytes of the component's Go source (for
-//     the generated monitors, the bytes artemisgen emits for the benchmark).
+//   - Text is the code-size proxy: bytes of the component's Go source, the
+//     shared task-runtime kernel included for each runtime (for the
+//     generated monitors, the bytes artemisgen emits for the benchmark).
 //   - RAM is the volatile working set: the SRAM staging buffers of the
 //     component's committed regions.
 //   - FRAM is the measured persistent allocation from the NVM accountant.
@@ -47,17 +54,21 @@ func Table2(o Options) ([]Table2Row, error) {
 		{"Ocelot", core.Ocelot, nil},
 		{"integrity", core.Artemis, func(cfg *core.Config) { cfg.Integrity = true }},
 	}
-	reps, err := sweep(o, runs, func(_ int, r t2run) (*core.Report, error) {
-		rep, _, err := runHealth(r.sys, continuous(), o, r.hook)
+	allocs, err := sweep(o, runs, func(_ int, r t2run) ([]nvm.Allocation, error) {
+		f, err := deployHealth(r.sys, continuous(), o, r.hook)
 		if err != nil {
 			return nil, fmt.Errorf("table 2 (%s): %w", r.name, err)
 		}
-		return rep, nil
+		defer f.Release()
+		if _, err := f.Run(); err != nil {
+			return nil, fmt.Errorf("table 2 (%s): %w", r.name, err)
+		}
+		return f.MCU().Mem.Allocations(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	artRep, mayRep, oceRep, intRep := reps[0], reps[1], reps[2], reps[3]
+	art, may, oce, integ := allocs[0], allocs[1], allocs[2], allocs[3]
 
 	res, err := health.CompiledShared()
 	if err != nil {
@@ -68,94 +79,37 @@ func Table2(o Options) ([]Table2Row, error) {
 		return nil, err
 	}
 
-	rows := []Table2Row{
-		{
-			Component: "Mayfly runtime",
-			Text:      sourceBytes("mayfly/mayfly.go"),
-			RAM:       stagingBytes(mayRep, "mayfly"),
-			FRAM:      mayRep.Footprints["mayfly"],
-		},
-		{
-			// The Ocelot-style freshness enforcer is the leanest of the
-			// three: Mayfly's control layout plus one timestamp slot per
-			// bounded producer, no per-task/per-edge metadata, no monitors.
-			Component: "Ocelot freshness runtime",
-			Text:      sourceBytes("freshness/freshness.go"),
-			RAM:       stagingBytes(oceRep, "ocelot"),
-			FRAM:      oceRep.Footprints["ocelot"],
-		},
-		{
-			Component: "ARTEMIS runtime",
-			Text:      sourceBytes("artemis/runtime.go"),
-			RAM:       stagingBytes(artRep, "runtime"),
-			FRAM:      artRep.Footprints["runtime"],
-		},
-		{
-			Component: "ARTEMIS monitor (generated)",
-			Text:      len(monSrc),
-			RAM:       stagingBytes(artRep, "monitor"),
-			FRAM:      artRep.Footprints["monitor"],
-		},
-		{
-			// The optional self-healing layer (off by default): one
-			// double-buffered 8-byte CRC per guarded region, plus two
-			// watchdog words already counted in the runtime's control
-			// region above.
-			Component: "ARTEMIS integrity guards (optional)",
-			Text:      sourceBytes("integrity/integrity.go"),
-			RAM:       guardCount(intRep) * 8,
-			FRAM:      intRep.Footprints["integrity"],
-		},
+	// Every runtime walks the task graph through the shared cursor, so its
+	// source counts toward each runtime's .text.
+	kernel := sourceBytes("task/cursor.go")
+	row := func(component string, text int, table []nvm.Allocation, owner string) Table2Row {
+		r := Table2Row{Component: component, Text: text}
+		for _, a := range table {
+			if a.Owner != owner {
+				continue
+			}
+			r.FRAM += a.Size
+			// Each committed region keeps one payload-sized staging buffer
+			// in SRAM, the size of its ".a" buffer; plain Vars stage nothing.
+			if strings.HasSuffix(a.Name, ".a") {
+				r.RAM += a.Size
+			}
+		}
+		return r
 	}
-	return rows, nil
-}
-
-// guardCount reports how many regions the integrity layer guarded; each
-// guard keeps one 8-byte CRC staging buffer in SRAM.
-func guardCount(rep *core.Report) int {
-	if rep.Integrity == nil {
-		return 0
-	}
-	return rep.Integrity.Guards
-}
-
-// stagingBytes estimates a component's volatile working set: each committed
-// region keeps one payload-sized staging buffer in SRAM, which the NVM
-// accountant exposes as the ".a" buffer of the double-buffered pair.
-func stagingBytes(rep *core.Report, owner string) int {
-	// Footprints do not carry allocation names, so recompute from the
-	// convention: a committed region of payload n allocates n (.a) + n (.b)
-	// + 1 (.sel) bytes; plain Vars allocate 8 bytes with no staging. The
-	// report exposes only totals, so the harness re-derives staging from
-	// the structural constants of each component:
-	switch owner {
-	case "monitor":
-		// One committed region per machine; payload = (11 + vars) words.
-		// Derivable exactly: total = 2·stage + 1 per machine.
-		return (rep.Footprints[owner] - machineCount(rep)) / 2
-	case "runtime":
-		// One committed control region + initDone; derive from the runtime's
-		// layout constant so watchdog words stay counted.
-		return artemis.ControlWords * 8
-	case "mayfly":
-		// One committed control region (4 words = 32 B staged); endTime and
-		// collected slots are plain Vars with no staging.
-		return 32
-	case "ocelot":
-		// The Mayfly-shaped control region (32 B staged) plus the stamps
-		// region: one 8-byte timestamp slot for the benchmark's single
-		// bounded producer (accel).
-		return 32 + 8
-	default:
-		return 0
-	}
-}
-
-func machineCount(rep *core.Report) int {
-	if rep.System == core.Artemis {
-		return 8 // the benchmark's eight properties
-	}
-	return 0
+	return []Table2Row{
+		row("Mayfly runtime", sourceBytes("mayfly/mayfly.go")+kernel, may, mayfly.Owner),
+		// The Ocelot-style freshness enforcer is the leanest of the three:
+		// the cursor words plus one timestamp slot per bounded producer, no
+		// per-task/per-edge metadata, no monitors.
+		row("Ocelot freshness runtime", sourceBytes("freshness/freshness.go")+kernel, oce, freshness.Owner),
+		row("ARTEMIS runtime", sourceBytes("artemis/runtime.go")+kernel, art, artemis.Owner),
+		row("ARTEMIS monitor (generated)", len(monSrc), art, monitor.Owner),
+		// The optional self-healing layer (off by default): one
+		// double-buffered 8-byte CRC per guarded region, plus two watchdog
+		// words already counted in the runtime's control region above.
+		row("ARTEMIS integrity guards (optional)", sourceBytes("integrity/integrity.go"), integ, integrity.Owner),
+	}, nil
 }
 
 // sourceBytes reads the size of a component's Go source file as the .text

@@ -87,22 +87,12 @@ type Stats struct {
 	Violations int
 }
 
-// ErrStuck reports livelock on continuous power (step budget exhausted).
-var ErrStuck = errors.New("ocelot: no progress within the step budget")
-
-// Control-region layout (words), mirroring the Mayfly baseline.
-const (
-	wPathIdx = iota
-	wTaskIdx
-	wRound
-	wAppDone
-	wWords
-)
-
 // Runtime is the input-freshness-enforcing runtime.
 type Runtime struct {
-	cfg    Config
+	cfg Config
+	// ctl holds nothing but the cursor, laid out like Mayfly's.
 	ctl    *nvm.Committed
+	cur    task.Cursor
 	stamps *nvm.Committed
 	slot   map[string]int // producer -> stamp offset in stamps
 	init   *nvm.Var[bool]
@@ -118,9 +108,6 @@ type Runtime struct {
 func New(cfg Config) (*Runtime, error) {
 	if cfg.MCU == nil || cfg.Graph == nil || cfg.Store == nil {
 		return nil, errors.New("ocelot: Config needs MCU, Graph, and Store")
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 1
 	}
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 1_000_000
@@ -146,7 +133,7 @@ func New(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := nvm.AllocCommitted(mem, Owner, "control", wWords*8)
+	ctl, err := nvm.AllocCommitted(mem, Owner, "control", task.CursorBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +167,11 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Telemetry.Enabled() {
 		group.SetObserver(cfg.Telemetry.CommitFlip)
 	}
-	return &Runtime{cfg: cfg, ctl: ctl, stamps: stamps, slot: slot, init: initDone, group: group}, nil
+	return &Runtime{
+		cfg: cfg, ctl: ctl, stamps: stamps, slot: slot, init: initDone, group: group,
+		cur: task.NewCursor(ctl, cfg.Graph, cfg.Rounds, task.Packed),
+		ctx: task.Ctx{MCU: cfg.MCU, Store: cfg.Store},
+	}, nil
 }
 
 // Stats returns the enforcement counters.
@@ -189,8 +180,8 @@ func (r *Runtime) Stats() Stats { return r.stats }
 // Bounds returns the enforced bound set.
 func (r *Runtime) Bounds() []Bound { return append([]Bound(nil), r.cfg.Bounds...) }
 
-func (r *Runtime) word(w int) int64       { return int64(r.ctl.ReadUint64(w * 8)) }
-func (r *Runtime) setWord(w int, v int64) { r.ctl.WriteUint64(w*8, uint64(v)) }
+// Cursor returns the runtime's persistent position in the task graph.
+func (r *Runtime) Cursor() *task.Cursor { return &r.cur }
 
 // Boot is the runtime entry point, re-invoked on every power-up.
 func (r *Runtime) Boot() error {
@@ -199,37 +190,46 @@ func (r *Runtime) Boot() error {
 	defer mcu.SetComponent(prev)
 
 	if !r.init.Get() {
-		for w := 0; w < wWords; w++ {
-			r.setWord(w, 0)
-		}
+		r.cur.Reset()
 		r.ctl.Commit()
 		r.init.Set(true)
 	}
 	r.ctl.Reopen()
 	r.stamps.Reopen()
 	r.cfg.Store.Rollback()
+	if err := r.cur.Check(); err != nil {
+		return err
+	}
 
 	for steps := 0; ; steps++ {
 		if steps > r.cfg.MaxSteps {
-			return ErrStuck
+			return task.ErrStuck
 		}
-		if r.word(wAppDone) != 0 {
+		if r.cur.Done() {
 			return nil
 		}
 		mcu.Exec(checkCycles)
-		path := r.cfg.Graph.Paths[r.word(wPathIdx)]
-		t := path.Tasks[r.word(wTaskIdx)]
-		if err := r.enforce(t, path.ID); err != nil {
+		t := r.cur.Task()
+		if err := r.enforce(t, r.cur.Path().ID); err != nil {
 			return err
 		}
-		if err := r.execute(t); err != nil {
+		if err := r.ctx.Run(t); err != nil {
 			return err
 		}
 		r.stats.TaskRuns++
 		if _, ok := r.slot[t.Name]; ok {
 			r.stamp(t.Name)
 		}
-		r.advance(path)
+		// The finished task's outputs, its stamp and the cursor move commit
+		// in one selector flip. Unlike Mayfly and ARTEMIS, a finished walk
+		// also clears the task index.
+		if !r.cur.NextTask() {
+			r.cur.NextPath()
+		}
+		if r.cur.Done() {
+			r.cur.Rewind()
+		}
+		r.ctl.Commit()
 	}
 }
 
@@ -255,7 +255,7 @@ func (r *Runtime) enforce(t *task.Task, pathID int) error {
 		r.stats.StaleDetected++
 		r.cfg.Telemetry.InputStale(b.Producer, t.Name, age, now)
 		p := r.cfg.Graph.Task(b.Producer)
-		if err := r.execute(p); err != nil {
+		if err := r.ctx.Run(p); err != nil {
 			return err
 		}
 		r.stamp(p.Name)
@@ -267,51 +267,10 @@ func (r *Runtime) enforce(t *task.Task, pathID int) error {
 	return nil
 }
 
-// execute runs one task body with app-component accounting.
-func (r *Runtime) execute(t *task.Task) error {
-	mcu := r.cfg.MCU
-	r.ctx = task.Ctx{MCU: mcu, Store: r.cfg.Store, Task: t}
-	prev := mcu.SetComponent(device.CompApp)
-	err := t.Execute(&r.ctx)
-	mcu.SetComponent(prev)
-	if err != nil {
-		return fmt.Errorf("ocelot: task %s: %w", t.Name, err)
-	}
-	return nil
-}
-
 // stamp stages the producer's collection timestamp; it becomes durable at
 // the next group commit, atomically with the sample it describes.
 func (r *Runtime) stamp(name string) {
 	r.stamps.WriteUint64(r.slot[name], uint64(int64(r.cfg.MCU.Now())))
-}
-
-// advance moves to the next task, path, round, or completion, committing
-// the finished task's outputs, its stamp, and the control advance in one
-// selector flip.
-func (r *Runtime) advance(path *task.Path) {
-	next := r.word(wTaskIdx) + 1
-	if int(next) < len(path.Tasks) {
-		r.setWord(wTaskIdx, next)
-		r.ctl.Commit()
-		return
-	}
-	nextPath := r.word(wPathIdx) + 1
-	if int(nextPath) < len(r.cfg.Graph.Paths) {
-		r.setWord(wPathIdx, nextPath)
-	} else {
-		round := r.word(wRound) + 1
-		if int(round) >= r.cfg.Rounds {
-			r.setWord(wAppDone, 1)
-			r.setWord(wTaskIdx, 0)
-			r.ctl.Commit()
-			return
-		}
-		r.setWord(wRound, round)
-		r.setWord(wPathIdx, 0)
-	}
-	r.setWord(wTaskIdx, 0)
-	r.ctl.Commit()
 }
 
 // InferBounds derives the bound set from the task graph: every

@@ -72,22 +72,13 @@ type Stats struct {
 	FreshnessFailures int
 }
 
-// ErrStuck reports livelock on continuous power (step budget exhausted).
-var ErrStuck = errors.New("mayfly: no progress within the step budget")
-
-// Control-region layout (words).
-const (
-	wPathIdx = iota
-	wTaskIdx
-	wRound
-	wAppDone
-	wWords
-)
-
 // Runtime is the coupled Mayfly-style runtime.
 type Runtime struct {
-	cfg   Config
+	cfg Config
+	// ctl holds nothing but the cursor; Mayfly commits it apart from the
+	// store, after the task's outputs.
 	ctl   *nvm.Committed
+	cur   task.Cursor
 	init  *nvm.Var[bool]
 	stats Stats
 	// ctx is the reusable task execution context (task bodies never retain
@@ -116,9 +107,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.MCU == nil || cfg.Graph == nil || cfg.Store == nil {
 		return nil, errors.New("mayfly: Config needs MCU, Graph, and Store")
 	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 1
-	}
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 1_000_000
 	}
@@ -137,7 +125,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 	}
 	mem := cfg.MCU.Mem
-	ctl, err := nvm.AllocCommitted(mem, Owner, "control", wWords*8)
+	ctl, err := nvm.AllocCommitted(mem, Owner, "control", task.CursorBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +136,9 @@ func New(cfg Config) (*Runtime, error) {
 	r := &Runtime{
 		cfg:       cfg,
 		ctl:       ctl,
+		cur:       task.NewCursor(ctl, cfg.Graph, cfg.Rounds, task.Packed),
 		init:      initDone,
+		ctx:       task.Ctx{MCU: cfg.MCU, Store: cfg.Store},
 		endTime:   map[string]*nvm.Var[int64]{},
 		expiry:    map[string]*nvm.Var[int64]{},
 		edgeTime:  map[string]*nvm.Var[int64]{},
@@ -207,8 +197,8 @@ func edgeKey(t, dp string) string { return t + "<-" + dp }
 // Stats returns the decision counters.
 func (r *Runtime) Stats() Stats { return r.stats }
 
-func (r *Runtime) word(w int) int64       { return int64(r.ctl.ReadUint64(w * 8)) }
-func (r *Runtime) setWord(w int, v int64) { r.ctl.WriteUint64(w*8, uint64(v)) }
+// Cursor returns the runtime's persistent position in the task graph.
+func (r *Runtime) Cursor() *task.Cursor { return &r.cur }
 
 // Boot is the runtime entry point, re-invoked on every power-up.
 func (r *Runtime) Boot() error {
@@ -217,42 +207,45 @@ func (r *Runtime) Boot() error {
 	defer mcu.SetComponent(prev)
 
 	if !r.init.Get() {
-		for w := 0; w < wWords; w++ {
-			r.setWord(w, 0)
-		}
+		r.cur.Reset()
 		r.ctl.Commit()
 		r.init.Set(true)
 	}
 	r.ctl.Reopen()
 	r.cfg.Store.Rollback()
+	if err := r.cur.Check(); err != nil {
+		return err
+	}
 
 	// The Figure 2(b) main loop: while(1) { t = next(); if
 	// props_satisfied(t) run(t) else adapt(); } with property checks and
 	// adaptation hardcoded inline.
 	for steps := 0; ; steps++ {
 		if steps > r.cfg.MaxSteps {
-			return ErrStuck
+			return task.ErrStuck
 		}
-		if r.word(wAppDone) != 0 {
+		if r.cur.Done() {
 			return nil
 		}
 		mcu.Exec(checkCycles)
-		path := r.cfg.Graph.Paths[r.word(wPathIdx)]
-		t := path.Tasks[r.word(wTaskIdx)]
+		path, t := r.cur.Path(), r.cur.Task()
 
 		if !r.propsSatisfied(t, path.ID) {
 			// The only adaptation Mayfly knows: restart the path. No
 			// attempt bound, no alternative action — the source of the
 			// non-termination in Figure 12.
 			r.stats.PathRestarts++
-			r.setWord(wTaskIdx, 0)
+			r.cur.Rewind()
 			r.ctl.Commit()
 			continue
 		}
 		if err := r.runTask(t); err != nil {
 			return err
 		}
-		r.advance(path)
+		if !r.cur.NextTask() {
+			r.cur.NextPath()
+		}
+		r.ctl.Commit()
 	}
 }
 
@@ -282,14 +275,10 @@ func (r *Runtime) propsSatisfied(t *task.Task, pathID int) bool {
 
 // runTask executes a task atomically and updates the coupled bookkeeping.
 func (r *Runtime) runTask(t *task.Task) error {
-	mcu := r.cfg.MCU
-	r.ctx = task.Ctx{MCU: mcu, Store: r.cfg.Store, Task: t}
-	prev := mcu.SetComponent(device.CompApp)
-	err := t.Execute(&r.ctx)
-	mcu.SetComponent(prev)
-	if err != nil {
-		return fmt.Errorf("mayfly: task %s: %w", t.Name, err)
+	if err := r.ctx.Run(t); err != nil {
+		return err
 	}
+	mcu := r.cfg.MCU
 	r.stats.TaskRuns++
 	r.cfg.Store.Commit()
 	// Freshness and collection bookkeeping, fused into the runtime. The
@@ -311,31 +300,6 @@ func (r *Runtime) runTask(t *task.Task) error {
 		}
 	}
 	return nil
-}
-
-// advance moves to the next task, path, round, or completion.
-func (r *Runtime) advance(path *task.Path) {
-	next := r.word(wTaskIdx) + 1
-	if int(next) < len(path.Tasks) {
-		r.setWord(wTaskIdx, next)
-		r.ctl.Commit()
-		return
-	}
-	nextPath := r.word(wPathIdx) + 1
-	if int(nextPath) < len(r.cfg.Graph.Paths) {
-		r.setWord(wPathIdx, nextPath)
-	} else {
-		round := r.word(wRound) + 1
-		if int(round) >= r.cfg.Rounds {
-			r.setWord(wAppDone, 1)
-			r.ctl.Commit()
-			return
-		}
-		r.setWord(wRound, round)
-		r.setWord(wPathIdx, 0)
-	}
-	r.setWord(wTaskIdx, 0)
-	r.ctl.Commit()
 }
 
 // HealthConstraints returns the Mayfly version of the benchmark (§5.1.1):

@@ -183,8 +183,8 @@ func TestStuckOnContinuousPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := &device.Device{MCU: mcu, MaxReboots: 5}
-	if _, err := dev.Run(rt.Boot); !errors.Is(err, ErrStuck) {
-		t.Fatalf("err = %v, want ErrStuck", err)
+	if _, err := dev.Run(rt.Boot); !errors.Is(err, task.ErrStuck) {
+		t.Fatalf("err = %v, want task.ErrStuck", err)
 	}
 }
 
@@ -262,5 +262,18 @@ func TestMultipleRounds(t *testing.T) {
 	}
 	if got := store.Get("tempCount"); got != 20 {
 		t.Errorf("tempCount = %g, want 20", got)
+	}
+}
+
+// TestCorruptCursorIsTyped checks a boot that loads an out-of-range cursor
+// (a soft error in the committed control region) fails with
+// task.ErrCorrupt instead of indexing the graph with it.
+func TestCorruptCursorIsTyped(t *testing.T) {
+	r := newRig(t, &energy.Continuous{})
+	r.rt.init.Set(true)
+	r.rt.ctl.WriteUint64(0, 99) // path index
+	r.rt.ctl.Commit()
+	if _, err := r.dev.Run(r.rt.Boot); !errors.Is(err, task.ErrCorrupt) {
+		t.Fatalf("err = %v, want task.ErrCorrupt", err)
 	}
 }
