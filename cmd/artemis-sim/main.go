@@ -428,18 +428,8 @@ func runFleet(w io.Writer, n, shards, workers, steps int, metricsPath string) er
 	fmt.Fprintf(w, "digest:     %016x (%d device-steps)\n", last.Digest, total)
 	fmt.Fprintf(w, "throughput: %.0f device-steps/sec (%.3fs wall)\n",
 		float64(total)/elapsed.Seconds(), elapsed.Seconds())
-	if metricsPath != "" {
-		file, err := os.Create(metricsPath)
-		if err != nil {
-			return fmt.Errorf("-metrics: %v", err)
-		}
-		if err := eng.WriteMetrics(file); err != nil {
-			file.Close()
-			return fmt.Errorf("-metrics: %v", err)
-		}
-		if err := file.Close(); err != nil {
-			return fmt.Errorf("-metrics: %v", err)
-		}
+	if err := writeFile(metricsPath, eng.WriteMetrics); err != nil {
+		return fmt.Errorf("-metrics: %v", err)
 	}
 	return nil
 }
@@ -454,27 +444,30 @@ func writeTelemetry(f *core.Framework, tracePath, metricsPath string) error {
 		}
 		return nil
 	}
-	write := func(path string, emit func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		file, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(file); err != nil {
-			file.Close()
-			return err
-		}
-		return file.Close()
-	}
-	if err := write(tracePath, tel.ChromeTrace); err != nil {
+	if err := writeFile(tracePath, tel.ChromeTrace); err != nil {
 		return fmt.Errorf("-trace: %v", err)
 	}
-	if err := write(metricsPath, tel.Metrics); err != nil {
+	if err := writeFile(metricsPath, tel.Metrics); err != nil {
 		return fmt.Errorf("-metrics: %v", err)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it through emit, reporting the first
+// error of the three steps. An empty path is a no-op.
+func writeFile(path string, emit func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := emit(file); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
 }
 
 // writeChaosTelemetry runs one instrumented health deployment on the flip

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
@@ -317,10 +318,35 @@ func (e *Engine) ShardStats() []telemetry.FleetShard {
 	return out
 }
 
-// WriteMetrics writes the per-shard counters as Prometheus-style text
-// through internal/telemetry's fleet exporter.
+// WriteMetrics writes the per-shard counters in the Prometheus text format
+// and returns the first write error.
 func (e *Engine) WriteMetrics(w io.Writer) error {
-	return telemetry.FleetMetrics(w, e.ShardStats())
+	x := telemetry.NewExposition(w)
+	WriteShardMetrics(x, e.ShardStats())
+	return x.Err()
+}
+
+// WriteShardMetrics writes the per-shard families of shards to x, one
+// sample per shard in the order given: shard order, for ShardStats. The
+// fleet server renders its cached counters through it too.
+func WriteShardMetrics(x *telemetry.Exposition, shards []telemetry.FleetShard) {
+	families := [...]struct{ typ, name, help string }{
+		{"gauge", "artemis_fleet_shard_devices", "Devices hosted per shard."},
+		{"counter", "artemis_fleet_device_steps_total", "Device runs executed per shard."},
+		{"counter", "artemis_fleet_completed_total", "Device runs that completed per shard."},
+		{"counter", "artemis_fleet_nonterminated_total", "Device runs that exhausted their reboot or step budget per shard."},
+		{"counter", "artemis_fleet_reboots_total", "Device reboots observed per shard."},
+		{"counter", "artemis_fleet_pool_recycled_total", "Device runs served a recycled FRAM image from the pool, per shard."},
+	}
+	samples := make([]telemetry.Sample, len(shards))
+	for f, fam := range families {
+		for i, s := range shards {
+			// One value per family, in the order of families.
+			v := [...]uint64{uint64(s.Devices), s.Steps, s.Completed, s.NonTerminated, s.Reboots, s.Recycled}[f]
+			samples[i] = telemetry.Sample{Label: strconv.Itoa(s.Shard), Value: v}
+		}
+		x.Family(fam.typ, fam.name, fam.help, "shard", samples...)
+	}
 }
 
 // step runs every device of the shard once, in index order.

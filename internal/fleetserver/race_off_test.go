@@ -1,0 +1,7 @@
+//go:build !race
+
+package fleetserver
+
+// raceEnabled reports whether the race detector is active; allocation-count
+// assertions are skipped under -race because instrumentation perturbs them.
+const raceEnabled = false

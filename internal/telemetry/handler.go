@@ -12,10 +12,10 @@ import (
 // clients re-request or mis-parse.
 const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// MetricsHandler wraps any metrics writer — Tracer.Metrics, FleetMetrics
-// via a closure, the fleet server's combined snapshot — as an http.Handler
-// that serves the output with the correct Prometheus exposition
-// Content-Type, so callers stop hand-rolling headers.
+// MetricsHandler wraps any metrics writer — Tracer.Metrics,
+// fleet.Engine.WriteMetrics, the fleet server's combined snapshot — as an
+// http.Handler that serves the output with the correct Prometheus
+// exposition Content-Type, so callers stop hand-rolling headers.
 //
 // The writer runs against a buffer first: an error mid-render becomes a
 // clean 500 instead of a torn 200 body, so the handler never serves a

@@ -13,7 +13,10 @@ import (
 // text-format Content-Type.
 func TestMetricsHandlerContentType(t *testing.T) {
 	h := MetricsHandler(func(w io.Writer) error {
-		return FleetMetrics(w, []FleetShard{{Shard: 0, Devices: 2, Steps: 4}})
+		x := NewExposition(w)
+		x.Family("counter", "artemis_fleet_device_steps_total", "Device runs executed per shard.", "shard",
+			Sample{Label: "0", Value: 4})
+		return x.Err()
 	})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

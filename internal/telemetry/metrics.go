@@ -3,52 +3,20 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 )
-
-// Histogram buckets (seconds). Fixed so metric output is stable across
-// runs and machines; intermittent on-periods sit in the ms–s range, task
-// latencies in the 100µs–100ms range.
-var (
-	onDurationBuckets  = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
-	taskLatencyBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 1}
-)
-
-// hist is a fixed-bucket histogram in Prometheus exposition terms.
-type hist struct {
-	buckets []float64
-	counts  []uint64
-	sum     float64
-	n       uint64
-}
-
-func newHist(buckets []float64) *hist {
-	return &hist{buckets: buckets, counts: make([]uint64, len(buckets))}
-}
-
-func (h *hist) observe(v float64) {
-	for i, le := range h.buckets {
-		if v <= le {
-			h.counts[i]++
-		}
-	}
-	h.sum += v
-	h.n++
-}
 
 // Metrics writes a Prometheus-style text snapshot of the run: counters for
 // boots, power failures, per-task starts/commits/retries, per-machine
 // property failures and transitions, per-action corrective actions, and
 // integrity repairs; histograms for powered-on durations and task
 // latencies. Output ordering is fully deterministic (sorted label values,
-// fixed metric order).
+// fixed metric order). It returns the first write error.
 func (t *Tracer) Metrics(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("telemetry: Metrics on disabled tracer")
 	}
 	var (
-		boots, powerFails, flips uint64
+		boots, powerFails uint64
 
 		starts      = map[string]uint64{}
 		commits     = map[string]uint64{}
@@ -58,8 +26,10 @@ func (t *Tracer) Metrics(w io.Writer) error {
 		actions     = map[string]uint64{}
 		repairs     = map[string]uint64{}
 
-		onDur   = newHist(onDurationBuckets)
-		taskLat = newHist(taskLatencyBuckets)
+		// Bounds in seconds: intermittent on-periods sit in the ms–s
+		// range, task latencies in the 100µs–100ms range.
+		onDur   = NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5)
+		taskLat = NewHistogram(0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 1)
 
 		lastBoot  = int64(-1)
 		inFlight  = map[string]bool{} // task started, not yet committed
@@ -73,7 +43,7 @@ func (t *Tracer) Metrics(w io.Writer) error {
 		case KindPowerFailure:
 			powerFails++
 			if lastBoot >= 0 {
-				onDur.observe(float64(int64(ev.At)-lastBoot) / 1e6)
+				onDur.Observe(float64(int64(ev.At)-lastBoot) / 1e6)
 				lastBoot = -1
 			}
 		case KindTaskStart:
@@ -87,7 +57,7 @@ func (t *Tracer) Metrics(w io.Writer) error {
 		case KindTaskEnd:
 			task := t.NameOf(ev.Name)
 			if s, ok := lastStart[task]; ok {
-				taskLat.observe(float64(int64(ev.At)-s) / 1e6)
+				taskLat.Observe(float64(int64(ev.At)-s) / 1e6)
 				delete(lastStart, task)
 			}
 		case KindTaskCommit:
@@ -104,33 +74,13 @@ func (t *Tracer) Metrics(w io.Writer) error {
 			repairs[t.NameOf(ev.Name)]++
 		}
 	}
-	flips = t.commitFlips
-
+	x := NewExposition(w)
 	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+		x.Family("counter", name, help, "", Sample{Value: v})
 	}
 	labelled := func(name, help, label string, m map[string]uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, k, m[k])
-		}
+		x.Family("counter", name, help, label, SortedSamples(m)...)
 	}
-	histogram := func(name, help string, h *hist) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		for i, le := range h.buckets {
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name,
-				strconv.FormatFloat(le, 'g', -1, 64), h.counts[i])
-		}
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.n)
-		fmt.Fprintf(w, "%s_sum %s\n", name, strconv.FormatFloat(h.sum, 'g', -1, 64))
-		fmt.Fprintf(w, "%s_count %d\n", name, h.n)
-	}
-
 	counter("artemis_boots_total", "Device boot attempts.", boots)
 	counter("artemis_power_failures_total", "Supply brown-outs.", powerFails)
 	labelled("artemis_task_starts_total", "Start events created per task.", "task", starts)
@@ -140,10 +90,10 @@ func (t *Tracer) Metrics(w io.Writer) error {
 	labelled("artemis_property_failures_total", "Property violations per machine.", "machine", propFails)
 	labelled("artemis_actions_total", "Arbitrated corrective actions executed.", "action", actions)
 	labelled("artemis_scrub_repairs_total", "Integrity repairs per policy.", "policy", repairs)
-	counter("artemis_commit_flips_total", "Runtime commit-group selector flips.", flips)
+	counter("artemis_commit_flips_total", "Runtime commit-group selector flips.", t.commitFlips)
 	counter("artemis_flight_persisted_total", "Events committed to the NVM flight recorder.", t.PersistedCount())
 	counter("artemis_events_total", "Telemetry events emitted.", uint64(len(t.events)))
-	histogram("artemis_on_duration_seconds", "Powered-on period lengths.", onDur)
-	histogram("artemis_task_latency_seconds", "Task start-to-end latencies.", taskLat)
-	return nil
+	x.Histogram("artemis_on_duration_seconds", "Powered-on period lengths.", onDur)
+	x.Histogram("artemis_task_latency_seconds", "Task start-to-end latencies.", taskLat)
+	return x.Err()
 }
