@@ -1,12 +1,13 @@
 package nvm
 
 import (
+	"fmt"
 	"testing"
 )
 
 // TestHashIncrementalMatchesRecompute drives the write path through every
-// accessor width plus bit flips and checks the incrementally-maintained
-// fingerprint against a full-image recompute after each mutation.
+// accessor width plus bit flips and checks the cached fingerprint against
+// a from-scratch recompute after each mutation.
 func TestHashIncrementalMatchesRecompute(t *testing.T) {
 	m := New(4096)
 	if m.Hash() != 0 {
@@ -82,8 +83,9 @@ func TestHashEqualImagesEqualHashes(t *testing.T) {
 	}
 }
 
-// TestHashConstantTime pins the O(1) contract: Hash on a large memory must
-// not allocate or touch the array.
+// TestHashConstantTime pins the clean path's O(1) contract: Hash on a large
+// memory with no store since the last Hash must not allocate or touch the
+// array.
 func TestHashConstantTime(t *testing.T) {
 	m := New(1 << 18)
 	if n := testing.AllocsPerRun(100, func() { _ = m.Hash() }); n != 0 {
@@ -113,5 +115,36 @@ func TestHotPathAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
 			t.Errorf("%s allocates %v per call", c.name, n)
 		}
+	}
+}
+
+// TestHashFreshAtEveryWrite reads Hash after every write operation of
+// private and group commits, as the chaos explorer's pruning does, and
+// checks it against a from-scratch recompute: a shadow-buffer write must
+// mark the cached fingerprint stale before its selector flip does.
+func TestHashFreshAtEveryWrite(t *testing.T) {
+	m := New(4096)
+	c := MustAllocCommitted(m, "monitor", "fsm", 64)
+	g := MustNewCommitGroup(m, "runtime", "boundary")
+	var members [2]*Committed
+	for i := range members {
+		members[i] = MustAllocCommitted(m, "runtime", fmt.Sprintf("m%d", i), 32)
+		members[i].Join(g)
+	}
+	writes := 0
+	m.SetWriteObserver(func() {
+		writes++
+		if got, want := m.Hash(), m.recomputeHash(); got != want {
+			t.Fatalf("write %d: hash %#x, recomputed %#x", writes, got, want)
+		}
+	})
+	for i := 1; i <= 4; i++ {
+		c.WriteUint64(8*(i%8), uint64(i))
+		c.Commit()
+		members[i%2].WriteUint64(0, uint64(i))
+		g.Commit()
+	}
+	if writes != 4*(2+3) {
+		t.Fatalf("observed %d writes, want %d", writes, 4*(2+3))
 	}
 }

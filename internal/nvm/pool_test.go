@@ -40,7 +40,10 @@ func TestPooledResetMatchesFresh(t *testing.T) {
 	if !got.Recycled() {
 		t.Fatal("image served from the pool does not report Recycled")
 	}
-	for i, b := range got.data {
+	if len(got.data) != 0 {
+		t.Fatalf("recycled image holds %d bytes, want none", len(got.data))
+	}
+	for i, b := range got.data[:cap(got.data)] {
 		if b != 0 {
 			t.Fatalf("recycled image dirty at offset %d: %#x", i, b)
 		}
