@@ -9,8 +9,17 @@ import (
 	"github.com/tinysystems/artemis-go/internal/telemetry"
 )
 
+// Request limits. A count above maxRegisterCount is a 400, and a POST body
+// longer than maxBodyBytes a 413, so that one request cannot make the
+// server allocate without bound.
+const (
+	maxRegisterCount = 4096
+	maxBodyBytes     = 1 << 20
+)
+
 // registerRequest is the POST /v1/devices body. Count registers a batch of
-// identically-specced devices with generated ids (0 means one).
+// identically-specced devices with generated ids (0 means one, at most
+// maxRegisterCount).
 type registerRequest struct {
 	ID    string `json:"id,omitempty"`
 	Spec  string `json:"spec"`
@@ -32,7 +41,8 @@ type statusResponse struct {
 
 // Handler returns the server's HTTP API:
 //
-//	POST   /v1/devices        register a device (or a batch via count)
+//	POST   /v1/devices        register a device (or a batch via count,
+//	                          at most maxRegisterCount)
 //	GET    /v1/devices        list devices in registration order
 //	GET    /v1/devices/{id}   one device's live monitoring state
 //	DELETE /v1/devices/{id}   unregister; responds only after the device
@@ -76,18 +86,22 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Count <= 0 {
 		req.Count = 1
 	}
+	if req.Count > maxRegisterCount {
+		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error",
+			Error: fmt.Sprintf("count %d above the limit of %d per request", req.Count, maxRegisterCount)})
+		return
+	}
 	if req.Count > 1 && req.ID != "" {
 		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "count > 1 requires generated ids (omit id)"})
 		return
 	}
-	states := make([]DeviceState, 0, req.Count)
+	var states []DeviceState
 	for i := 0; i < req.Count; i++ {
 		st, err := s.Register(req.ID, req.Spec)
 		if err != nil {
@@ -105,8 +119,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := s.Ingest(req.Events)
@@ -130,6 +143,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// decodeBody decodes a POST body of at most maxBodyBytes into v. On failure
+// it writes the error response, 413 for a body over the limit and 400 for
+// bad JSON, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, statusResponse{Status: "error",
+			Error: fmt.Sprintf("request body over the limit of %d bytes", maxBodyBytes)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "bad JSON: " + err.Error()})
+	return false
 }
 
 // retryAfterSeconds rounds the step interval up to the 1s floor the

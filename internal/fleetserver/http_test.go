@@ -90,6 +90,51 @@ func TestHTTPDeviceLifecycle(t *testing.T) {
 	}
 }
 
+// TestHTTPRequestLimits checks that one request cannot make the server
+// allocate without bound: a register count above maxRegisterCount is a 400
+// that registers nothing, whatever its size, and a POST body over
+// maxBodyBytes is a 413 on both POST endpoints. The server keeps serving.
+func TestHTTPRequestLimits(t *testing.T) {
+	s, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, count := range []int{maxRegisterCount + 1, 10_000_000, 1_000_000_000_000_000} {
+		rec := doJSON(t, h, "POST", "/v1/devices", registerRequest{Spec: "health", Count: count})
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("count %d: %d %s, want 400", count, rec.Code, rec.Body)
+		}
+	}
+	if n := s.DeviceCount(); n != 0 {
+		t.Fatalf("rejected counts registered %d devices", n)
+	}
+	if rec := doJSON(t, h, "POST", "/v1/devices", registerRequest{Spec: "quickstart", Count: maxRegisterCount}); rec.Code != http.StatusCreated {
+		t.Fatalf("count %d: %d, want 201", maxRegisterCount, rec.Code)
+	}
+	if n := s.DeviceCount(); n != maxRegisterCount {
+		t.Fatalf("%d devices after registering %d", n, maxRegisterCount)
+	}
+
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/devices", `{"spec":"` + pad + `"}`},
+		{"/v1/events:batch", `{"events":[{"device":"` + pad + `","kind":"start","task":"send"}]}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: %d %s, want 413", c.path, len(c.body), rec.Code, rec.Body)
+		}
+	}
+	if n := s.DeviceCount(); n != maxRegisterCount {
+		t.Fatalf("%d devices after the oversized bodies, want %d", n, maxRegisterCount)
+	}
+	if rec := doJSON(t, h, "GET", "/healthz", nil); rec.Code != http.StatusOK {
+		t.Fatalf("healthz after the rejected requests: %d", rec.Code)
+	}
+}
+
 // TestHTTPIngestAndBackpressure checks the batch endpoint's status mapping,
 // including 429 + Retry-After on a full queue.
 func TestHTTPIngestAndBackpressure(t *testing.T) {
