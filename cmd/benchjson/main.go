@@ -4,13 +4,13 @@
 // B/op, allocs/op per benchmark plus the workers=1 vs workers=N wall-clock
 // ratio for the parallel-executor benchmarks.
 //
-//	benchjson                          # full suite -> BENCH_7.json
+//	benchjson                          # full suite -> BENCH_8.json
 //	benchjson -bench 'NVM' -o nvm.json # a subset, elsewhere
 //	benchjson -benchtime 1x            # quick smoke (noisy numbers)
 //
 // It is also the regression gate between two committed baselines:
 //
-//	benchjson -compare BENCH_7.json new.json -max-regress 10%
+//	benchjson -compare BENCH_8.json new.json -max-regress 10%
 //
 // exits non-zero if any benchmark present in both files regressed by more
 // than the threshold in ns/op or allocs/op.
@@ -88,10 +88,10 @@ type Speedup struct {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	var (
-		bench      = fs.String("bench", "ExhaustiveSweep|FlipCampaign|FleetSteps|FleetServer|NVMWrite|NVMHash|Commit|SingleRun|OcelotRun|PersistentMonitor|Telemetry|SpecSwap", "benchmark filter passed to go test -bench")
+		bench      = fs.String("bench", "ExhaustiveSweep|FlipCampaign|FleetSteps|FleetServer|NVMWrite|NVMHash|NVMRehash|Commit|SingleRun|OcelotRun|PersistentMonitor|Telemetry|SpecSwap", "benchmark filter passed to go test -bench")
 		benchtime  = fs.String("benchtime", "", "passed to go test -benchtime; empty = the go test default")
 		pkg        = fs.String("pkg", ".", "package to benchmark")
-		out        = fs.String("o", "BENCH_7.json", "output path; - = stdout")
+		out        = fs.String("o", "BENCH_8.json", "output path; - = stdout")
 		compareIt  = fs.Bool("compare", false, "compare two baseline files (old new) instead of running benchmarks")
 		maxRegress = fs.String("max-regress", "10%", "with -compare: tolerated ns/op and allocs/op growth before failing")
 	)
