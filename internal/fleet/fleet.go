@@ -396,9 +396,9 @@ func (sh *shard) stepDevice(d *device) (uint64, error) {
 		}
 	}
 
-	// The digest covers the final FRAM image (the memory's incremental
-	// hash, which includes every committed store slot and monitor state)
-	// plus the run's externally visible outcome.
+	// The digest covers the final FRAM image (the memory's fingerprint,
+	// which includes every committed store slot and monitor state) plus
+	// the run's externally visible outcome.
 	digest := mem.Hash()
 	digest = mix(digest, uint64(rep.Reboots))
 	digest = mix(digest, uint64(rep.Elapsed))
