@@ -91,6 +91,75 @@ machine BadGuard {
         on end [x / (x - 1) > 0] -> S { fail skipTask; }
     }
 }`},
+	// fallback holds the shapes no typed closure can prove: string
+	// equality other than task against a literal, zero divisors, % on a
+	// float, bool equality over a division, operators on the wrong type,
+	// && and || reaching a non-boolean, and int literals beyond 2^53
+	// (exact under ==, widened to float under >). Each shape sits in a
+	// guard, an if-condition and an assignment. A few typed sites meet
+	// them: a typed store opens a branch whose condition can fail, typed
+	// == and > compare an int beyond 2^53, and an int sum beyond 2^53 is
+	// computed exactly before it widens.
+	{"fallback", `
+machine Fallback {
+    var b: bool = false
+    var q: int = 1
+    var n: int = 7
+    var big: int = 9007199254740993
+    var f: float = 0.5
+    initial state S {
+        on start ["div" == task && n / q > 0] -> S { fail skipTask; }
+        on start ["mod" == task && n % q == 1] -> S { fail restartTask; }
+        on start ["send" == task && f / data > 1.0] -> S { fail skipPath; }
+        on start ["narrow" == task && data % 2 == 0] -> S;
+        on start ["widen" == task && (n / q == 1) == b] -> S { fail skipTask; }
+        on start ["neg" == task && -task == 1] -> S;
+        on start ["trip" == task && task < 1] -> S;
+        on start ["work" == task && !n] -> S;
+        on start ["mul" == task && path % 2 == 1 && (b && data)] -> S { fail restartPath; }
+        on start ["mul" == task && path % 2 == 0 && (b || data)] -> S { fail restartPath; }
+        on start ["sample" == task && big / 1 > 9007199254740992] -> S { fail completePath; }
+        on start ["sample" == task && big / 1 == 9007199254740993] -> S { fail skipTask; }
+        on end ["sample" == task] -> S {
+            b = "send" == task;
+            q = path % 3;
+            big = 9007199254740992 + q / 1;
+            if task == task { f = f / 2.0 + data / 4; }
+            if "sample" == task && big / 1 > 9007199254740992 { fail skipPath; }
+            if big / 1 == 9007199254740993 { fail restartTask; }
+            if big == 9007199254740993 { n = 11; }
+            if big > 9007199254740992 { n = n + 2; }
+            if big + 1 > 9007199254740993 { n = n * 2; }
+        }
+        on end [task == task && "send" == task] -> S { b = task == task; f = f / data; n = n % q + 7 / 1; }
+        on end ["div" == task] -> S {
+            if n / q == 0 { f = 0.25; n = n + 5 / 1; } else { n = n / q; b = big / 1 > 9007199254740992; }
+        }
+        on end ["mod" == task] -> S {
+            if path % 2 == 1 { if b && data { fail skipTask; } } else { if b || data { fail skipTask; } }
+            if n % q > 0 { n = n * 3 + 1 / 1; }
+        }
+        on end ["mul" == task] -> S {
+            if path % 2 == 1 { b = b && data; } else { b = b || data; }
+            if f / data < 1.0 { fail restartTask; }
+        }
+        on end ["widen" == task] -> S {
+            if (n / q > 0) == b { b = (n / q == 1) == b; } else { b = big / 1 == 9007199254740993; }
+        }
+        on end ["neg" == task] -> S {
+            if path % 2 == 1 { n = -task; } else { if -task > 0 { n = 1 / 1; } }
+        }
+        on end ["trip" == task] -> S {
+            if path % 2 == 1 { b = task < 1; } else { if task < 1 { n = 2 / 1; } }
+        }
+        on end ["work" == task] -> S {
+            if path % 2 == 1 { n = n / q; b = !n; } else { if !n { n = 3 / 1; } }
+        }
+        on end ["narrow" == task] -> S {
+            if path % 2 == 1 { n = data % 2; } else { if f % 2 == 1 { n = 4 / 1; } }
+        }
+    }
+}`},
 }
 
 // benchEvents builds a deterministic pseudo-random event stream. Data
