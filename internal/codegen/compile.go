@@ -4,23 +4,27 @@
 // compiler and so cannot serve specs compiled at deployment time or swapped
 // over the air. Compile instead lowers a checked ir.Program to closure trees
 // at runtime: identifiers are resolved to integer variable slots and event
-// fields once, at compile time, and every expression and statement becomes a
-// typed Go closure. Stepping a compiled machine performs no map lookups, no
-// scope construction, and no allocation — the wins the interpreter's
-// per-event MapScope cannot have.
+// fields once, at compile time, and every guard, if-condition and
+// assignment is compiled once, into one Go closure. Stepping a compiled
+// machine performs no map lookups, no scope construction, and no
+// allocation — the wins the interpreter's per-event MapScope cannot have.
 //
-// Semantics are the interpreter's by construction: operator evaluation,
-// truthiness, assignment coercion, and short-circuiting all route through
-// the same ir.Apply / ir.ApplyUnary / ir.Coerce helpers ir.Step uses, and
-// transition selection mirrors ir.Step exactly (first matching transition
-// wins, implicit self-transition otherwise). The differential harness
-// (compile_test.go and the repo-root equivalence tests) holds the two
-// engines byte-identical over every example specification.
+// A site compiles to one of two forms. Typed closures (unboxed.go) are the
+// primary form: every site whose type the typed compilers can prove, which
+// is every site the spec transform emits. The generic closures below are
+// the fallback for everything else, including every shape that can fail at
+// run time (zero divisors, % on a float, non-boolean guards, lossy
+// stores). They evaluate through the same ir.Apply / ir.ApplyUnary /
+// ir.Coerce helpers ir.Step uses, so their results and error texts are the
+// interpreter's by construction. Transition selection mirrors ir.Step
+// exactly (first matching transition wins, implicit self-transition
+// otherwise). The differential harness (compile_test.go and the repo-root
+// equivalence tests) holds the two engines byte-identical over every
+// example specification.
 
 package codegen
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -90,13 +94,9 @@ type cstate struct {
 
 type ctrans struct {
 	trigger ir.Trigger
-	guard   frameFn // nil means always
-	// bguard, when non-nil, is the unboxed compilation of the same guard
-	// expression (see unboxed.go) and is preferred by Step; guard is kept
-	// as the always-present boxed form.
-	bguard boolFn
-	target int
-	body   []stmtFn
+	guard   boolFn // nil means always
+	target  int
+	body    []stmtFn
 }
 
 // Name returns the machine name.
@@ -134,32 +134,13 @@ func (cm *Machine) StepStaged(fr *Frame, sl Slots) ([]ir.Failure, error) {
 	kind := fr.ev.Kind
 	for i := range st.trans {
 		tr := &st.trans[i]
-		if !tr.trigger.Matches(kind) {
+		if !tr.trigger.Matches(kind) || tr.guard != nil && !tr.guard(fr) {
 			continue
 		}
-		if tr.bguard != nil {
-			if !tr.bguard(fr) {
-				continue
-			}
-		} else if tr.guard != nil {
-			v := tr.guard(fr)
-			ok := false
-			if fr.err == nil {
-				if v.T == ir.TBool {
-					// Inline Truthy's happy path: every compiled guard
-					// yields a boolean, so the error plumbing is dead
-					// weight per evaluation.
-					ok = v.B
-				} else {
-					ok, fr.err = v.Truthy()
-				}
-			}
-			if fr.err != nil {
-				return nil, fmt.Errorf("ir: machine %s state %s: guard: %w", cm.name, st.name, fr.err)
-			}
-			if !ok {
-				continue
-			}
+		// A generic guard that fails holds with fr.err set (see cond), so
+		// typed guards pay no error check per evaluation.
+		if fr.err != nil {
+			return nil, fmt.Errorf("ir: machine %s state %s: guard: %w", cm.name, st.name, fr.err)
 		}
 		for _, s := range tr.body {
 			s(fr)
@@ -203,13 +184,12 @@ func CompileProgram(p *ir.Program) (*Program, error) {
 // unresolvable transition targets — exactly the set ir.Machine.Check
 // rejects; checked machines always compile.
 func CompileMachine(m *ir.Machine) (*Machine, error) {
-	cc := &compiler{m: m, slots: make(map[string]int, len(m.Vars)), types: make(map[string]ir.Type, len(m.Vars))}
+	cc := &compiler{m: m, slots: make(map[string]int, len(m.Vars))}
 	for i, v := range m.Vars {
 		if v.Type == ir.TString {
 			return nil, fmt.Errorf("codegen: machine %s: string variable %q cannot persist", m.Name, v.Name)
 		}
 		cc.slots[v.Name] = i
-		cc.types[v.Name] = v.Type
 	}
 	cm := &Machine{name: m.Name, states: make([]cstate, len(m.States))}
 	for si, st := range m.States {
@@ -222,12 +202,11 @@ func CompileMachine(m *ir.Machine) (*Machine, error) {
 			}
 			ct := ctrans{trigger: tr.Trigger, target: target}
 			if tr.Guard != nil {
-				g, err := cc.expr(tr.Guard)
+				g, err := cc.cond(tr.Guard)
 				if err != nil {
 					return nil, err
 				}
 				ct.guard = g
-				ct.bguard = cc.boolExpr(tr.Guard)
 			}
 			body, err := cc.stmts(tr.Body)
 			if err != nil {
@@ -244,8 +223,7 @@ func CompileMachine(m *ir.Machine) (*Machine, error) {
 // compiler carries the per-machine symbol table through recursion.
 type compiler struct {
 	m     *ir.Machine
-	slots map[string]int
-	types map[string]ir.Type
+	slots map[string]int // variable name -> index into m.Vars
 }
 
 func (cc *compiler) stmts(in []ir.Stmt) ([]stmtFn, error) {
@@ -263,41 +241,19 @@ func (cc *compiler) stmts(in []ir.Stmt) ([]stmtFn, error) {
 func (cc *compiler) stmt(s ir.Stmt) (stmtFn, error) {
 	switch s := s.(type) {
 	case ir.Assign:
-		x, err := cc.expr(s.X)
-		if err != nil {
-			return nil, err
-		}
 		slot, ok := cc.slots[s.Name]
 		if !ok {
 			return nil, fmt.Errorf("codegen: machine %s: assignment to undeclared %q", cc.m.Name, s.Name)
 		}
-		typ := cc.types[s.Name]
-		name := s.Name
-		// Unboxed fast path: when the expression's static type matches the
-		// variable's, Coerce is the identity and Encode is a direct bit
-		// projection, so the whole statement collapses to one slot store.
-		// (An int expression assigned to a float variable widens through
-		// floatExpr, matching Coerce's numeric rule.)
-		switch typ {
-		case ir.TInt:
-			if ix := cc.intExpr(s.X); ix != nil {
-				return func(fr *Frame) { fr.slots.SetVarWord(slot, uint64(ix(fr))) }, nil
-			}
-		case ir.TFloat:
-			if fx := cc.floatExpr(s.X); fx != nil {
-				return func(fr *Frame) { fr.slots.SetVarWord(slot, math.Float64bits(fx(fr))) }, nil
-			}
-		case ir.TBool:
-			if bx := cc.boolExpr(s.X); bx != nil {
-				return func(fr *Frame) {
-					var w uint64
-					if bx(fr) {
-						w = 1
-					}
-					fr.slots.SetVarWord(slot, w)
-				}, nil
-			}
+		typ := cc.m.Vars[slot].Type
+		if fn := cc.store(slot, typ, s.X); fn != nil {
+			return fn, nil
 		}
+		x, err := cc.expr(s.X)
+		if err != nil {
+			return nil, err
+		}
+		name := s.Name
 		return func(fr *Frame) {
 			v := x(fr)
 			if fr.err != nil {
@@ -308,15 +264,12 @@ func (cc *compiler) stmt(s ir.Stmt) (stmtFn, error) {
 				fr.err = fmt.Errorf("assigning %q: %w", name, err)
 				return
 			}
-			bits, err := v.Encode()
-			if err != nil {
-				fr.err = err
-				return
-			}
+			// v is an int, float or bool now, which Encode cannot refuse.
+			bits, _ := v.Encode()
 			fr.slots.SetVarWord(slot, bits)
 		}, nil
 	case ir.If:
-		cond, err := cc.expr(s.Cond)
+		cond, err := cc.cond(s.Cond)
 		if err != nil {
 			return nil, err
 		}
@@ -328,39 +281,18 @@ func (cc *compiler) stmt(s ir.Stmt) (stmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		if bc := cc.boolExpr(s.Cond); bc != nil {
-			return func(fr *Frame) {
-				branch := then
-				if !bc(fr) {
-					branch = els
-				}
-				for _, fn := range branch {
-					fn(fr)
-					if fr.err != nil {
-						return
-					}
-				}
-			}, nil
-		}
 		return func(fr *Frame) {
-			c := cond(fr)
-			if fr.err != nil {
-				return
-			}
-			ok, err := c.Truthy()
-			if err != nil {
-				fr.err = err
-				return
-			}
 			branch := then
-			if !ok {
+			if !cond(fr) {
 				branch = els
 			}
+			// Checking before each statement also stops a branch that a
+			// failed generic condition selected (see cond).
 			for _, fn := range branch {
-				fn(fr)
 				if fr.err != nil {
 					return
 				}
+				fn(fr)
 			}
 		}, nil
 	case ir.Fail:
@@ -373,6 +305,33 @@ func (cc *compiler) stmt(s ir.Stmt) (stmtFn, error) {
 	}
 }
 
+// cond compiles a guard or an if-condition: to a typed closure when
+// boolExpr proves one, else to a generic closure. A generic condition that
+// fails sets fr.err and holds; callers check fr.err before they run what
+// it selects.
+func (cc *compiler) cond(e ir.Expr) (boolFn, error) {
+	if b := cc.boolExpr(e); b != nil {
+		return b, nil
+	}
+	x, err := cc.expr(e)
+	if err != nil {
+		return nil, err
+	}
+	return func(fr *Frame) bool {
+		v := x(fr)
+		if fr.err != nil {
+			return true
+		}
+		ok, err := v.Truthy()
+		if err != nil {
+			fr.err = err
+			return true
+		}
+		return ok
+	}, nil
+}
+
+// expr compiles e to a generic closure over boxed ir.Values.
 func (cc *compiler) expr(e ir.Expr) (frameFn, error) {
 	switch e := e.(type) {
 	case ir.Lit:
@@ -427,7 +386,7 @@ func (cc *compiler) ident(name string) (frameFn, error) {
 		return nil, fmt.Errorf("codegen: machine %s: undefined identifier %q", cc.m.Name, name)
 	}
 	// Per-type decode, matching ir.Decode on the declared type.
-	switch cc.types[name] {
+	switch cc.m.Vars[slot].Type {
 	case ir.TInt:
 		return func(fr *Frame) ir.Value { return ir.Int(int64(fr.slots.VarWord(slot))) }, nil
 	case ir.TFloat:
@@ -447,10 +406,11 @@ func (cc *compiler) binary(e ir.Binary) (frameFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch e.Op {
-	// Short-circuit logic mirrors evalBinary: the left operand's
-	// truthiness decides whether the right is evaluated at all.
-	case "&&":
+	if e.Op == "&&" || e.Op == "||" {
+		// Short-circuit logic mirrors evalBinary: a left operand equal to
+		// decides (false for &&, true for ||) is the result, and the right
+		// operand is not evaluated at all.
+		decides := e.Op == "||"
 		return func(fr *Frame) ir.Value {
 			lv := l(fr)
 			if fr.err != nil {
@@ -461,8 +421,8 @@ func (cc *compiler) binary(e ir.Binary) (frameFn, error) {
 				fr.err = err
 				return ir.Value{}
 			}
-			if !lb {
-				return ir.Bool(false)
+			if lb == decides {
+				return ir.Bool(decides)
 			}
 			rv := r(fr)
 			if fr.err != nil {
@@ -475,43 +435,6 @@ func (cc *compiler) binary(e ir.Binary) (frameFn, error) {
 			}
 			return ir.Bool(rb)
 		}, nil
-	case "||":
-		return func(fr *Frame) ir.Value {
-			lv := l(fr)
-			if fr.err != nil {
-				return ir.Value{}
-			}
-			lb, err := lv.Truthy()
-			if err != nil {
-				fr.err = err
-				return ir.Value{}
-			}
-			if lb {
-				return ir.Bool(true)
-			}
-			rv := r(fr)
-			if fr.err != nil {
-				return ir.Value{}
-			}
-			rb, err := rv.Truthy()
-			if err != nil {
-				fr.err = err
-				return ir.Value{}
-			}
-			return ir.Bool(rb)
-		}, nil
-	}
-	// Type-directed specialization: when both operand types are statically
-	// known, emit a closure with the operator resolved at compile time
-	// instead of dispatching through ir.Apply's string-keyed switch on every
-	// evaluation. The specialized closures replicate ir.Apply's semantics
-	// case-for-case (Equal's same-type and numeric-widening rules, compare's
-	// float widening, arith's int/int preservation and zero checks) and the
-	// differential tests in compile_test.go hold them to it. Any shape not
-	// covered falls through to the generic Apply closure below, so the two
-	// paths can never disagree on unusual operand combinations.
-	if fn := cc.specializeBinary(e, l, r); fn != nil {
-		return fn, nil
 	}
 	op := e.Op
 	return func(fr *Frame) ir.Value {
@@ -530,294 +453,6 @@ func (cc *compiler) binary(e ir.Binary) (frameFn, error) {
 		}
 		return out
 	}, nil
-}
-
-// Errors raised by specialized arithmetic closures. The texts match
-// ir.Apply's exactly so engine choice never changes an error message.
-var (
-	errDivZero = errors.New("ir: division by zero")
-	errModZero = errors.New("ir: modulo by zero")
-)
-
-// staticType infers the type an expression will have IF it evaluates
-// without error. The inference is sound, not complete: a (t, true) answer
-// guarantees every successful evaluation yields that type, while (0, false)
-// just means "unknown here" and disables specialization for that operand.
-func (cc *compiler) staticType(e ir.Expr) (ir.Type, bool) {
-	switch e := e.(type) {
-	case ir.Lit:
-		return e.V.T, true
-	case ir.Ident:
-		switch e.Name {
-		case "task":
-			return ir.TString, true
-		case "t", "path":
-			return ir.TInt, true
-		case "data", "energy":
-			return ir.TFloat, true
-		}
-		if t, ok := cc.types[e.Name]; ok {
-			return t, true
-		}
-	case ir.Unary:
-		switch e.Op {
-		case "!":
-			return ir.TBool, true
-		case "-":
-			if t, ok := cc.staticType(e.X); ok && (t == ir.TInt || t == ir.TFloat) {
-				return t, true
-			}
-		}
-	case ir.Binary:
-		switch e.Op {
-		case "&&", "||", "==", "!=", "<", "<=", ">", ">=":
-			return ir.TBool, true
-		case "%":
-			return ir.TInt, true
-		case "+", "-", "*", "/":
-			lt, lok := cc.staticType(e.L)
-			rt, rok := cc.staticType(e.R)
-			if !lok || !rok || !numericType(lt) || !numericType(rt) {
-				return 0, false
-			}
-			if lt == ir.TInt && rt == ir.TInt {
-				return ir.TInt, true
-			}
-			return ir.TFloat, true
-		}
-	}
-	return 0, false
-}
-
-func numericType(t ir.Type) bool { return t == ir.TInt || t == ir.TFloat }
-
-// floatOf returns the AsFloat projection for a statically numeric type.
-func floatOf(t ir.Type) func(ir.Value) float64 {
-	if t == ir.TInt {
-		return func(v ir.Value) float64 { return float64(v.I) }
-	}
-	return func(v ir.Value) float64 { return v.F }
-}
-
-// specializeBinary returns an operator-resolved closure for e when the
-// operand types are statically known and the combination cannot produce a
-// type error at runtime, or nil to use the generic ir.Apply path.
-func (cc *compiler) specializeBinary(e ir.Binary, l, r frameFn) frameFn {
-	lt, lok := cc.staticType(e.L)
-	rt, rok := cc.staticType(e.R)
-	if !lok || !rok {
-		return nil
-	}
-
-	// Fused fast path for the single hottest guard shape in every spec:
-	// task compared against a string literal. One closure, no sub-closure
-	// calls, no Value boxing of the event field.
-	if e.Op == "==" || e.Op == "!=" {
-		if fn := fuseTaskEq(e); fn != nil {
-			return fn
-		}
-	}
-
-	switch e.Op {
-	case "==", "!=":
-		neg := e.Op == "!="
-		var eq func(lv, rv ir.Value) bool
-		switch {
-		case lt == rt && lt == ir.TString:
-			eq = func(lv, rv ir.Value) bool { return lv.S == rv.S }
-		case lt == rt && lt == ir.TBool:
-			eq = func(lv, rv ir.Value) bool { return lv.B == rv.B }
-		case lt == ir.TInt && rt == ir.TInt:
-			eq = func(lv, rv ir.Value) bool { return lv.I == rv.I }
-		case lt == ir.TFloat && rt == ir.TFloat:
-			eq = func(lv, rv ir.Value) bool { return lv.F == rv.F }
-		case numericType(lt) && numericType(rt):
-			lf, rf := floatOf(lt), floatOf(rt)
-			eq = func(lv, rv ir.Value) bool { return lf(lv) == rf(rv) }
-		default:
-			// String-vs-number etc. errors at runtime; keep Apply's message.
-			return nil
-		}
-		return func(fr *Frame) ir.Value {
-			lv := l(fr)
-			if fr.err != nil {
-				return ir.Value{}
-			}
-			rv := r(fr)
-			if fr.err != nil {
-				return ir.Value{}
-			}
-			return ir.Bool(eq(lv, rv) != neg)
-		}
-
-	case "<", "<=", ">", ">=":
-		if !numericType(lt) || !numericType(rt) {
-			return nil
-		}
-		// compare() widens both sides to float even for int/int.
-		lf, rf := floatOf(lt), floatOf(rt)
-		var cmp func(a, b float64) bool
-		switch e.Op {
-		case "<":
-			cmp = func(a, b float64) bool { return a < b }
-		case "<=":
-			cmp = func(a, b float64) bool { return a <= b }
-		case ">":
-			cmp = func(a, b float64) bool { return a > b }
-		case ">=":
-			cmp = func(a, b float64) bool { return a >= b }
-		}
-		return func(fr *Frame) ir.Value {
-			lv := l(fr)
-			if fr.err != nil {
-				return ir.Value{}
-			}
-			rv := r(fr)
-			if fr.err != nil {
-				return ir.Value{}
-			}
-			return ir.Bool(cmp(lf(lv), rf(rv)))
-		}
-
-	case "+", "-", "*", "/", "%":
-		if !numericType(lt) || !numericType(rt) {
-			return nil
-		}
-		if lt == ir.TInt && rt == ir.TInt {
-			switch e.Op {
-			case "+":
-				return intArith(l, r, func(a, b int64) int64 { return a + b })
-			case "-":
-				return intArith(l, r, func(a, b int64) int64 { return a - b })
-			case "*":
-				return intArith(l, r, func(a, b int64) int64 { return a * b })
-			case "/":
-				return intDivMod(l, r, false)
-			case "%":
-				return intDivMod(l, r, true)
-			}
-		}
-		if e.Op == "%" {
-			return nil // mixed/float %: runtime error, keep Apply's message
-		}
-		lf, rf := floatOf(lt), floatOf(rt)
-		var op func(a, b float64) float64
-		switch e.Op {
-		case "+":
-			op = func(a, b float64) float64 { return a + b }
-		case "-":
-			op = func(a, b float64) float64 { return a - b }
-		case "*":
-			op = func(a, b float64) float64 { return a * b }
-		case "/":
-			return func(fr *Frame) ir.Value {
-				lv := l(fr)
-				if fr.err != nil {
-					return ir.Value{}
-				}
-				rv := r(fr)
-				if fr.err != nil {
-					return ir.Value{}
-				}
-				b := rf(rv)
-				if b == 0 {
-					fr.err = errDivZero
-					return ir.Value{}
-				}
-				return ir.Float(lf(lv) / b)
-			}
-		}
-		return func(fr *Frame) ir.Value {
-			lv := l(fr)
-			if fr.err != nil {
-				return ir.Value{}
-			}
-			rv := r(fr)
-			if fr.err != nil {
-				return ir.Value{}
-			}
-			return ir.Float(op(lf(lv), rf(rv)))
-		}
-	}
-	return nil
-}
-
-func intArith(l, r frameFn, op func(a, b int64) int64) frameFn {
-	return func(fr *Frame) ir.Value {
-		lv := l(fr)
-		if fr.err != nil {
-			return ir.Value{}
-		}
-		rv := r(fr)
-		if fr.err != nil {
-			return ir.Value{}
-		}
-		return ir.Int(op(lv.I, rv.I))
-	}
-}
-
-func intDivMod(l, r frameFn, mod bool) frameFn {
-	return func(fr *Frame) ir.Value {
-		lv := l(fr)
-		if fr.err != nil {
-			return ir.Value{}
-		}
-		rv := r(fr)
-		if fr.err != nil {
-			return ir.Value{}
-		}
-		if rv.I == 0 {
-			if mod {
-				fr.err = errModZero
-			} else {
-				fr.err = errDivZero
-			}
-			return ir.Value{}
-		}
-		if mod {
-			return ir.Int(lv.I % rv.I)
-		}
-		return ir.Int(lv.I / rv.I)
-	}
-}
-
-// fuseTaskEq recognizes `task == "lit"` / `task != "lit"` (either operand
-// order) and emits a single closure over the event field.
-func fuseTaskEq(e ir.Binary) frameFn {
-	var lit string
-	switch {
-	case isTaskIdent(e.L):
-		s, ok := stringLit(e.R)
-		if !ok {
-			return nil
-		}
-		lit = s
-	case isTaskIdent(e.R):
-		s, ok := stringLit(e.L)
-		if !ok {
-			return nil
-		}
-		lit = s
-	default:
-		return nil
-	}
-	if e.Op == "!=" {
-		return func(fr *Frame) ir.Value { return ir.Bool(fr.ev.Task != lit) }
-	}
-	return func(fr *Frame) ir.Value { return ir.Bool(fr.ev.Task == lit) }
-}
-
-func isTaskIdent(e ir.Expr) bool {
-	id, ok := e.(ir.Ident)
-	return ok && id.Name == "task"
-}
-
-func stringLit(e ir.Expr) (string, bool) {
-	lit, ok := e.(ir.Lit)
-	if !ok || lit.V.T != ir.TString {
-		return "", false
-	}
-	return lit.V.S, true
 }
 
 // VolatileSlots is an in-memory Slots implementation for tests and

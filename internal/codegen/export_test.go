@@ -10,10 +10,9 @@ import (
 // lists, as "state/transition: site", the ones no typed closure proves:
 // CompileMachine compiles those to the generic ir.Apply closures.
 func GenericSites(m *ir.Machine) (generic []string, sites int) {
-	cc := &compiler{m: m, slots: map[string]int{}, types: map[string]ir.Type{}}
+	cc := &compiler{m: m, slots: map[string]int{}}
 	for i, v := range m.Vars {
 		cc.slots[v.Name] = i
-		cc.types[v.Name] = v.Type
 	}
 	note := func(where string, typed bool, site string) {
 		sites++
@@ -26,16 +25,8 @@ func GenericSites(m *ir.Machine) (generic []string, sites int) {
 		for _, s := range stmts {
 			switch s := s.(type) {
 			case ir.Assign:
-				typed := false
-				switch cc.types[s.Name] {
-				case ir.TInt:
-					typed = cc.intExpr(s.X) != nil
-				case ir.TFloat:
-					typed = cc.floatExpr(s.X) != nil
-				case ir.TBool:
-					typed = cc.boolExpr(s.X) != nil
-				}
-				note(where, typed, s.Name+" = "+s.X.String())
+				slot := cc.slots[s.Name]
+				note(where, cc.store(slot, m.Vars[slot].Type, s.X) != nil, s.Name+" = "+s.X.String())
 			case ir.If:
 				note(where, cc.boolExpr(s.Cond) != nil, "if "+s.Cond.String())
 				body(where, s.Then)

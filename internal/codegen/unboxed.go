@@ -6,32 +6,63 @@ import (
 	"github.com/tinysystems/artemis-go/internal/ir"
 )
 
-// Unboxed expression compilation: a second, optional compilation strategy
-// for the expression shapes that dominate guard evaluation. The generic
-// compiler (expr in compile.go) builds closures that pass 48-byte ir.Value
-// structs between every tree node and thread an error channel through each
-// call; for statically well-typed boolean, integer, and float expressions
-// neither is needed — evaluation cannot fail and the operands fit in
-// machine words. These compilers return nil for any shape they do not
-// cover, and callers always hold the generic closure as the fallback, so
-// the unboxed path can only ever replace work, never change results: every
-// specialization mirrors the corresponding ir.Apply / specializeBinary
-// case exactly (int/int equality is exact, comparisons widen to float,
-// int arithmetic stays in int64 and is widened once at the projection
-// boundary). Division and modulo stay boxed — their zero checks need the
-// error channel.
+// Typed closures: the primary compiled form of guards, if-conditions and
+// assignments. A typed closure computes a bool, int64 or float64 directly,
+// with no 48-byte ir.Value between tree nodes and no error channel,
+// because its expression cannot fail. Each compiler below returns nil
+// unless it can prove its expression's type; a nil anywhere sends the
+// whole site to the generic ir.Apply closures of compile.go. Every case
+// mirrors ir's semantics: int equality is exact, comparisons widen both
+// sides to float64, and int arithmetic stays in int64 and widens once
+// where a float is needed. Division and modulo are never typed: their zero
+// checks need the error channel.
 
-// boolFn evaluates a statically boolean expression that cannot fail.
+// boolFn evaluates a boolean expression that cannot fail.
 type boolFn func(fr *Frame) bool
 
-// intFn evaluates a statically integer expression that cannot fail.
+// intFn evaluates an integer expression that cannot fail.
 type intFn func(fr *Frame) int64
 
-// floatFn evaluates a statically numeric expression that cannot fail,
-// projected to float64 under ir's widening rules.
+// floatFn evaluates a numeric expression that cannot fail, projected to
+// float64 under ir's widening rules.
 type floatFn func(fr *Frame) float64
 
-// boolExpr compiles e to an unboxed boolean closure, or nil.
+// store compiles the assignment of x to the variable in slot, declared
+// with type t, to one typed slot store, or returns nil. Coerce is then the
+// identity, or the int-to-float widening floatExpr already performs, and
+// Encode is a bit projection.
+func (cc *compiler) store(slot int, t ir.Type, x ir.Expr) stmtFn {
+	switch t {
+	case ir.TInt:
+		if ix := cc.intExpr(x); ix != nil {
+			return func(fr *Frame) { fr.slots.SetVarWord(slot, uint64(ix(fr))) }
+		}
+	case ir.TFloat:
+		if fx := cc.floatExpr(x); fx != nil {
+			return func(fr *Frame) { fr.slots.SetVarWord(slot, math.Float64bits(fx(fr))) }
+		}
+	case ir.TBool:
+		if bx := cc.boolExpr(x); bx != nil {
+			return func(fr *Frame) {
+				var w uint64
+				if bx(fr) {
+					w = 1
+				}
+				fr.slots.SetVarWord(slot, w)
+			}
+		}
+	}
+	return nil
+}
+
+// typedVar returns the slot of variable name if it is declared with type
+// t. Event fields shadow variables, as in ident.
+func (cc *compiler) typedVar(name string, t ir.Type) (int, bool) {
+	slot, ok := cc.slots[name]
+	return slot, ok && cc.m.Vars[slot].Type == t && !ir.IsEventField(name)
+}
+
+// boolExpr compiles e to a typed boolean closure, or nil.
 func (cc *compiler) boolExpr(e ir.Expr) boolFn {
 	switch e := e.(type) {
 	case ir.Lit:
@@ -40,7 +71,7 @@ func (cc *compiler) boolExpr(e ir.Expr) boolFn {
 			return func(*Frame) bool { return v }
 		}
 	case ir.Ident:
-		if slot, ok := cc.slots[e.Name]; ok && cc.types[e.Name] == ir.TBool {
+		if slot, ok := cc.typedVar(e.Name, ir.TBool); ok {
 			return func(fr *Frame) bool { return fr.slots.VarWord(slot) != 0 }
 		}
 	case ir.Unary:
@@ -66,8 +97,8 @@ func (cc *compiler) boolExpr(e ir.Expr) boolFn {
 		case "==", "!=":
 			return cc.eqBool(e)
 		case "<", "<=", ">", ">=":
-			// Comparisons widen both sides to float64, exactly like the
-			// boxed compare path (including for int/int operands).
+			// Comparisons widen both sides to float64, as ir's compare
+			// does, int/int operands included.
 			l, r := cc.floatExpr(e.L), cc.floatExpr(e.R)
 			if l == nil || r == nil {
 				return nil
@@ -87,60 +118,34 @@ func (cc *compiler) boolExpr(e ir.Expr) boolFn {
 	return nil
 }
 
-// eqBool compiles an (in)equality to an unboxed closure, or nil.
+// eqBool compiles == or != to a typed closure, or nil. task against a
+// string literal, the hottest guard shape of every spec, is one string
+// compare. Other operands are tried as ints (exact), then bools, then
+// floats (an int side widened), the cases of ir.Value.Equal.
 func (cc *compiler) eqBool(e ir.Binary) boolFn {
 	neg := e.Op == "!="
-	// task vs string literal, either operand order: the hottest guard
-	// shape of every spec, one closure and one string compare.
-	var lit string
-	if isTaskIdent(e.L) {
-		if s, ok := stringLit(e.R); ok {
-			lit = s
-		} else {
-			return nil
-		}
-	} else if isTaskIdent(e.R) {
-		if s, ok := stringLit(e.L); ok {
-			lit = s
-		} else {
-			return nil
-		}
-	} else {
-		lt, lok := cc.staticType(e.L)
-		rt, rok := cc.staticType(e.R)
-		if !lok || !rok {
-			return nil
-		}
-		switch {
-		case lt == ir.TBool && rt == ir.TBool:
-			l, r := cc.boolExpr(e.L), cc.boolExpr(e.R)
-			if l == nil || r == nil {
-				return nil
+	if id, ok := e.L.(ir.Ident); ok && id.Name == "task" {
+		if lit, ok := e.R.(ir.Lit); ok && lit.V.T == ir.TString {
+			s := lit.V.S
+			if neg {
+				return func(fr *Frame) bool { return fr.ev.Task != s }
 			}
-			return func(fr *Frame) bool { return (l(fr) == r(fr)) != neg }
-		case lt == ir.TInt && rt == ir.TInt:
-			// Same-type integer equality is exact, never via float.
-			l, r := cc.intExpr(e.L), cc.intExpr(e.R)
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(fr *Frame) bool { return (l(fr) == r(fr)) != neg }
-		case numericType(lt) && numericType(rt):
-			l, r := cc.floatExpr(e.L), cc.floatExpr(e.R)
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(fr *Frame) bool { return (l(fr) == r(fr)) != neg }
+			return func(fr *Frame) bool { return fr.ev.Task == s }
 		}
-		return nil
 	}
-	if neg {
-		return func(fr *Frame) bool { return fr.ev.Task != lit }
+	if l, r := cc.intExpr(e.L), cc.intExpr(e.R); l != nil && r != nil {
+		return func(fr *Frame) bool { return (l(fr) == r(fr)) != neg }
 	}
-	return func(fr *Frame) bool { return fr.ev.Task == lit }
+	if l, r := cc.boolExpr(e.L), cc.boolExpr(e.R); l != nil && r != nil {
+		return func(fr *Frame) bool { return (l(fr) == r(fr)) != neg }
+	}
+	if l, r := cc.floatExpr(e.L), cc.floatExpr(e.R); l != nil && r != nil {
+		return func(fr *Frame) bool { return (l(fr) == r(fr)) != neg }
+	}
+	return nil
 }
 
-// intExpr compiles e to an unboxed int64 closure, or nil.
+// intExpr compiles e to a typed int64 closure, or nil.
 func (cc *compiler) intExpr(e ir.Expr) intFn {
 	switch e := e.(type) {
 	case ir.Lit:
@@ -154,10 +159,8 @@ func (cc *compiler) intExpr(e ir.Expr) intFn {
 			return func(fr *Frame) int64 { return int64(fr.ev.Time) }
 		case "path":
 			return func(fr *Frame) int64 { return int64(fr.ev.Path) }
-		case "task", "data", "energy":
-			return nil
 		}
-		if slot, ok := cc.slots[e.Name]; ok && cc.types[e.Name] == ir.TInt {
+		if slot, ok := cc.typedVar(e.Name, ir.TInt); ok {
 			return func(fr *Frame) int64 { return int64(fr.slots.VarWord(slot)) }
 		}
 	case ir.Unary:
@@ -178,11 +181,6 @@ func (cc *compiler) intExpr(e ir.Expr) intFn {
 		default:
 			return nil
 		}
-		lt, lok := cc.staticType(e.L)
-		rt, rok := cc.staticType(e.R)
-		if !lok || !rok || lt != ir.TInt || rt != ir.TInt {
-			return nil
-		}
 		l, r := cc.intExpr(e.L), cc.intExpr(e.R)
 		if l == nil || r == nil {
 			return nil
@@ -192,16 +190,14 @@ func (cc *compiler) intExpr(e ir.Expr) intFn {
 	return nil
 }
 
-// floatExpr compiles e to an unboxed float64 closure, or nil. An
-// int-typed subtree is computed in int64 and widened once at this
-// boundary — the same value the boxed engines produce by evaluating the
-// subtree to an integer Value and projecting it.
+// floatExpr compiles e to a typed float64 closure, or nil. It tries
+// intExpr first, so an int subtree is computed exactly in int64 and
+// widened once at this boundary, the value the interpreter gets by
+// evaluating the subtree to an int and widening it. An int expression
+// intExpr rejects (one with / or %) is rejected here too.
 func (cc *compiler) floatExpr(e ir.Expr) floatFn {
-	if t, ok := cc.staticType(e); ok && t == ir.TInt {
-		if x := cc.intExpr(e); x != nil {
-			return func(fr *Frame) float64 { return float64(x(fr)) }
-		}
-		return nil
+	if x := cc.intExpr(e); x != nil {
+		return func(fr *Frame) float64 { return float64(x(fr)) }
 	}
 	switch e := e.(type) {
 	case ir.Lit:
@@ -215,10 +211,8 @@ func (cc *compiler) floatExpr(e ir.Expr) floatFn {
 			return func(fr *Frame) float64 { return fr.ev.Data }
 		case "energy":
 			return func(fr *Frame) float64 { return fr.ev.Energy }
-		case "task", "t", "path":
-			return nil
 		}
-		if slot, ok := cc.slots[e.Name]; ok && cc.types[e.Name] == ir.TFloat {
+		if slot, ok := cc.typedVar(e.Name, ir.TFloat); ok {
 			return func(fr *Frame) float64 { return math.Float64frombits(fr.slots.VarWord(slot)) }
 		}
 	case ir.Unary:
