@@ -135,7 +135,12 @@ func decodePayload(payload string) (*Bundle, error) {
 	if _, err := fmt.Sscanf(l, "bindings %d", &nb); err != nil {
 		return nil, fmt.Errorf("ota: bad bindings line %q: %w", l, err)
 	}
-	bindings := make([]transform.Binding, 0, nb)
+	if nb < 0 {
+		return nil, fmt.Errorf("ota: bad bindings line %q: negative count", l)
+	}
+	// The count comes off the wire: the slice grows with the lines that
+	// are actually there instead of being sized from it.
+	var bindings []transform.Binding
 	for i := 0; i < nb; i++ {
 		if l, err = line(); err != nil {
 			return nil, err
@@ -152,6 +157,9 @@ func decodePayload(payload string) (*Bundle, error) {
 	var nm int
 	if _, err := fmt.Sscanf(l, "migration %d", &nm); err != nil {
 		return nil, fmt.Errorf("ota: bad migration line %q: %w", l, err)
+	}
+	if nm < 0 {
+		return nil, fmt.Errorf("ota: bad migration line %q: negative count", l)
 	}
 	for i := 0; i < nm; i++ {
 		if l, err = line(); err != nil {

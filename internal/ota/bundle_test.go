@@ -1,7 +1,9 @@
 package ota
 
 import (
+	"bytes"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -179,4 +181,72 @@ func TestChecksumMatchesHeader(t *testing.T) {
 	if plen != len(payload) {
 		t.Fatalf("header length %d, payload %d", plen, len(payload))
 	}
+}
+
+// frame wraps payload in a valid transfer header, so Decode gets past the
+// magic, length and checksum checks and parses the payload.
+func frame(payload []byte) []byte {
+	head := fmt.Sprintf("%s %08x %d\n", magic, Checksum(payload), len(payload))
+	return append([]byte(head), payload...)
+}
+
+// TestDecodeRejectsHostileCounts: a well-framed bundle whose binding or
+// migration count disagrees with its lines is an error, never a panic,
+// and no count from the wire sizes an allocation.
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	_, enc := compiledPair(t)
+	payload := enc[bytes.IndexByte(enc, '\n')+1:]
+	cases := []struct{ name, line, with string }{
+		{"negative bindings", `bindings \d+`, "bindings -1"},
+		{"bindings beyond int64", `bindings \d+`, "bindings 100000000000000000000"},
+		{"bindings beyond any allocation", `bindings \d+`, "bindings 1000000000000000"},
+		{"bindings beyond the lines present", `bindings \d+`, "bindings 100000000"},
+		{"no bindings for the machines", `bindings \d+`, "bindings 0"},
+		{"negative migration", `migration \d+`, "migration -1"},
+		{"migration beyond the lines present", `migration \d+`, "migration 100000000"},
+	}
+	for _, tc := range cases {
+		re := regexp.MustCompile(`(?m)^` + tc.line + `$`)
+		if len(re.FindAll(payload, -1)) != 1 {
+			t.Fatalf("%s: the encoded bundle has no single %q line", tc.name, tc.line)
+		}
+		bad := frame(re.ReplaceAll(payload, []byte(tc.with)))
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+	// The framing itself is sound: the untouched payload decodes.
+	if _, err := Decode(frame(payload)); err != nil {
+		t.Fatalf("re-framed bundle: %v", err)
+	}
+}
+
+// FuzzDecode: Decode never panics, whatever the bytes. Each input is
+// decoded as received and again behind a valid header, so the fuzzer
+// reaches the payload parser instead of stopping at the checksum. The
+// seeds are encoded health and health-v2 bundles.
+func FuzzDecode(f *testing.F) {
+	v1, err := health.CompiledShared()
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2, err := health.CompiledSharedV2()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, res := range []*transform.Result{v1, v2} {
+		enc, err := Encode(&Bundle{Version: uint64(i + 1), Result: res, Migration: AutoMigration(v1.Program, res.Program)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[bytes.IndexByte(enc, '\n')+1:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, frame(data)} {
+			if b, err := Decode(in); err == nil && (b == nil || b.Result == nil || b.Result.Program == nil) {
+				t.Fatalf("Decode returned no bundle and no error for %q", in)
+			}
+		}
+	})
 }
