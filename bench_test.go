@@ -273,6 +273,39 @@ func BenchmarkAblationGeneratedMonitor(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationCompiledMonitor measures the compiled FSM step alone:
+// the health program's closure-compiled machines over volatile slots, one
+// shared frame staged once per event, then StepStaged on every machine.
+// BenchmarkAblationPersistentMonitor adds FRAM persistence to this loop.
+func BenchmarkAblationCompiledMonitor(b *testing.B) {
+	res, err := health.New().Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := res.Stepper()
+	if err != nil {
+		b.Fatal(err)
+	}
+	slots := make([]*codegen.VolatileSlots, len(res.Program.Machines))
+	for i, m := range res.Program.Machines {
+		if slots[i], err = codegen.NewVolatileSlots(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame := codegen.NewFrame()
+	evs := benchEvents(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame.StageEvent(&evs[i%len(evs)], uint64(i)+1)
+		for mi, sl := range slots {
+			if _, err := prog.Machine(mi).StepStaged(frame, sl); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkAblationPersistentMonitor measures event delivery with monitor
 // state in (simulated) FRAM with per-event atomic commits — the full
 // power-failure-resilient path, stepped by the compiled engine every
