@@ -5,12 +5,18 @@
 // exactly the "straightforward translation" the paper cites from the
 // statechart-implementation literature.
 //
-// Generated machines implement Stepper, and behave identically to the IR
-// interpreter over any event stream (asserted by tests). Deployments do not
-// run generated code: every monitor set steps through the closure-compiled
-// engine (compile.go), which needs no Go compiler and so also serves specs
-// installed over the air. The interpreter is the reference both engines are
-// tested against.
+// Generated machines implement Stepper. gen/gen_test.go holds the
+// generated health program to the IR interpreter's verdicts over random
+// event streams; no other program is tested. Generated code has no error
+// channel, so where the interpreter returns an error it does something
+// else: an integer division or modulo by zero panics, a float division
+// by zero yields an infinity or NaN, and a lossy float-to-int store
+// truncates. It also orders two ints exactly, where the interpreter
+// widens both to float64 (they differ beyond 2^53). Deployments do not
+// run generated code: every monitor set steps through the
+// closure-compiled engine (compile.go), which needs no Go compiler and so
+// also serves specs installed over the air. The interpreter is the
+// reference both engines are tested against.
 package codegen
 
 import (

@@ -120,8 +120,9 @@ func (cc *compiler) boolExpr(e ir.Expr) boolFn {
 
 // eqBool compiles == or != to a typed closure, or nil. task against a
 // string literal, the hottest guard shape of every spec, is one string
-// compare. Other operands are tried as ints (exact), then bools, then
-// floats (an int side widened), the cases of ir.Value.Equal.
+// compare; the spec transform writes task on the left, and the other order
+// takes the generic path. Other operands are tried as ints (exact), then
+// bools, then floats (an int side widened), the cases of ir.Value.Equal.
 func (cc *compiler) eqBool(e ir.Binary) boolFn {
 	neg := e.Op == "!="
 	if id, ok := e.L.(ir.Ident); ok && id.Name == "task" {
