@@ -94,12 +94,6 @@ type Config struct {
 	// it to reconstruct timelines (Figure 13).
 	OnDecision func(ev monitor.Event, d monitor.Decision)
 
-	// OnRecovery, when non-nil, observes every boot that finds an event in
-	// flight — a power failure interrupted delivery and the runtime is
-	// about to finalise it (monitorFinalize). Fault-injection harnesses
-	// use it to confirm the recovery path actually exercised.
-	OnRecovery func(seq uint64)
-
 	// Extras are additional persistent structures (e.g. task.Channel) the
 	// runtime commits at every task boundary and rolls back on reboot,
 	// extending the store's atomicity to them.
@@ -318,9 +312,6 @@ func (r *Runtime) Boot() error {
 	}
 	if !r.state.getB(wEvDelivered) {
 		r.stats.Recoveries++
-		if r.cfg.OnRecovery != nil {
-			r.cfg.OnRecovery(r.state.get(wEvSeq))
-		}
 	}
 
 	// Verify and repair every guarded region before trusting any of it,

@@ -27,16 +27,34 @@ type rig struct {
 	app   *health.App
 }
 
-func newRig(t *testing.T, supply energy.Supply, temp float64) *rig {
-	t.Helper()
-	return newRigSpec(t, supply, temp, health.SpecSource)
+// testbed varies the device a rig runs on. Its zero value is the paper's
+// testbed: a perfect persistent clock, the MSP430FR5994 at 1 MHz, and
+// events delivered to the monitor set itself.
+type testbed struct {
+	clock *simclock.Clock
+	prof  *device.Profile
+	// threaded delivers events through the ImmortalThreads-style
+	// continuation (monitor.ThreadedSet) instead of the set itself.
+	threaded bool
 }
 
-func newRigSpec(t *testing.T, supply energy.Supply, temp float64, specSrc string) *rig {
+func newRig(t *testing.T, supply energy.Supply, temp float64) *rig {
+	t.Helper()
+	return newRigOn(t, testbed{}, supply, temp)
+}
+
+func newRigOn(t *testing.T, tb testbed, supply energy.Supply, temp float64) *rig {
 	t.Helper()
 	app := health.NewWithTemp(temp)
 	mem := nvm.New(256 * 1024)
-	mcu, err := device.NewMCU(&simclock.Clock{}, mem, supply, device.MSP430FR5994())
+	clock, prof := tb.clock, device.MSP430FR5994()
+	if clock == nil {
+		clock = &simclock.Clock{}
+	}
+	if tb.prof != nil {
+		prof = *tb.prof
+	}
+	mcu, err := device.NewMCU(clock, mem, supply, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +62,7 @@ func newRigSpec(t *testing.T, supply energy.Supply, temp float64, specSrc string
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := spec.Parse(specSrc)
+	s, err := spec.Parse(health.SpecSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +74,13 @@ func newRigSpec(t *testing.T, supply energy.Supply, temp float64, specSrc string
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(Config{MCU: mcu, Graph: app.Graph, Store: store, Monitors: mons})
+	var deployed monitor.Interface = mons
+	if tb.threaded {
+		if deployed, err = monitor.NewThreadedSet(mem, mons); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt, err := New(Config{MCU: mcu, Graph: app.Graph, Store: store, Monitors: deployed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,10 +218,6 @@ type Explorer struct {
 	// have happened.
 	Window func(f *core.Framework) (lo, hi int64, ok bool)
 
-	// RebootSlack is how many reboots beyond reference+1 the progress
-	// oracle tolerates; the injected failure itself accounts for the +1.
-	RebootSlack int
-
 	// PostCheck, when non-nil, runs extra oracle checks against the
 	// recovered framework itself after the built-in four (e.g. telemetry
 	// flight-ring well-formedness). Failures it returns must use oracle
@@ -451,17 +447,15 @@ func (e *Explorer) judge(ref, got Outcome) []OracleFailure {
 	var fails []OracleFailure
 
 	// Progress: the run completes, and the single injected failure costs
-	// at most one reboot (plus configured slack for intermittent
-	// supplies, where the perturbed energy schedule can shift later
-	// failures around).
+	// at most one reboot.
 	switch {
 	case got.NonTerminated:
 		fails = append(fails, OracleFailure{OracleProgress, "non-termination (reboot or step budget exhausted)"})
 	case !got.Completed:
 		fails = append(fails, OracleFailure{OracleProgress, "run did not complete"})
-	case got.Reboots > ref.Reboots+1+e.RebootSlack:
+	case got.Reboots > ref.Reboots+1:
 		fails = append(fails, OracleFailure{OracleProgress,
-			fmt.Sprintf("reboots %d exceed reference %d + injected 1 + slack %d", got.Reboots, ref.Reboots, e.RebootSlack)})
+			fmt.Sprintf("reboots %d exceed reference %d + injected 1", got.Reboots, ref.Reboots)})
 	}
 
 	// Atomicity: the committed control state the recovery chain left

@@ -75,7 +75,6 @@ type LossyLink struct {
 
 	attempts int
 	drops    int
-	dups     int
 }
 
 // NewLossyLink builds a link that loses each exchange with probability
@@ -93,7 +92,6 @@ func (l *LossyLink) Exchange(seq uint64, attempt int) (delivered bool, duplicate
 		return false, 0
 	}
 	if l.rng.Float64() < l.dupProb {
-		l.dups++
 		return true, 1
 	}
 	return true, 0
@@ -104,9 +102,6 @@ func (l *LossyLink) Attempts() int { return l.attempts }
 
 // Drops returns the number of exchanges the link lost.
 func (l *LossyLink) Drops() int { return l.drops }
-
-// Dups returns the number of duplicated deliveries the link produced.
-func (l *LossyLink) Dups() int { return l.dups }
 
 // BitFlipper injects soft errors into a memory's allocated regions: each
 // Flip picks a random allocation, byte, and bit from the seeded RNG.

@@ -1,8 +1,15 @@
 // Package core is the assembly facade of the framework: one call builds a
-// complete simulated deployment — MSP430-class device, FRAM, power supply,
-// task store, compiled monitors, and the chosen runtime (ARTEMIS, the
-// Mayfly baseline, or the Ocelot-style freshness-enforcement runtime) —
-// and runs the application on intermittent power.
+// complete simulated deployment — device, FRAM, power supply, task store,
+// compiled monitors, and the chosen runtime (ARTEMIS, the Mayfly baseline,
+// or the Ocelot-style freshness-enforcement runtime) — and runs the
+// application on intermittent power.
+//
+// Every deployment runs on the paper's testbed: an MSP430FR5994 at 1 MHz
+// with 256 KiB of FRAM and a perfect persistent clock. The robustness
+// variants (the 8 MHz profile, a jittered clock, continuation-dispatched
+// monitors) are tested one layer down, in the artemis and mayfly runtime
+// tests, where the profile, clock and monitor set are constructor
+// arguments.
 //
 // Examples and the experiment harness both build on this package; the
 // underlying pieces remain individually usable for finer control.
@@ -127,55 +134,35 @@ type Config struct {
 	// maximum input age (Ocelot only). Zero infers no extra bounds.
 	FreshnessDefault simclock.Duration
 
+	// Supply is the power source. The device itself is fixed: an
+	// MSP430FR5994 at 1 MHz with 256 KiB of FRAM drawn from the recycle
+	// pool (nvm.NewPooled; see Framework.Release), keeping time on a
+	// perfect persistent clock — the paper's assumption.
 	Supply SupplyConfig
 
-	// Profile defaults to MSP430FR5994.
-	Profile *device.Profile
-	// MemBytes defaults to 256 KiB (the MSP430FR5994's FRAM). The image is
-	// drawn from the recycle pool (nvm.NewPooled); see Framework.Release.
-	MemBytes int
 	// Rounds defaults to 1.
 	Rounds int
 	// MaxReboots defaults to 1000; exhausting it reports non-termination.
 	MaxReboots int
-	// MaxSteps bounds runtime-loop iterations (livelock guard).
-	MaxSteps int
 
 	// OnDecision observes ARTEMIS decisions (ignored by Mayfly); experiment
 	// harnesses use it to reconstruct timelines.
 	OnDecision func(ev monitor.Event, d monitor.Decision)
 
 	// RemoteMonitors deploys the ARTEMIS monitors on an external wireless
-	// device (§7 "Implementation Alternatives"): the host pays per-event
-	// radio costs instead of on-device evaluation costs.
+	// device (§7 "Implementation Alternatives"): the host pays the default
+	// BLE-class radio cost and retry schedule per event instead of
+	// on-device evaluation costs (ARTEMIS only).
 	RemoteMonitors bool
-	// ContinuationMonitors dispatches events through an
-	// ImmortalThreads-style persistent continuation (§4.2.3), the paper's
-	// own mechanism, instead of the default commit/replay dispatch.
-	ContinuationMonitors bool
-	// RadioCost overrides the default BLE-class exchange cost when
-	// RemoteMonitors is set.
-	RadioCost *monitor.RadioCost
 	// RadioLink injects a radio channel model (loss, duplication) into the
 	// remote deployment; nil is a perfect link. Requires RemoteMonitors.
 	RadioLink monitor.Link
-	// RadioPolicy overrides the remote deployment's default retry/backoff
-	// schedule. Requires RemoteMonitors.
-	RadioPolicy *monitor.RetryPolicy
 
 	// BuildApp, when set, constructs the application against the
 	// framework's NVM — for apps whose graphs close over persistent
 	// structures (channels). It returns the graph plus the extra
 	// persistents to commit at task boundaries; Config.Graph must be nil.
 	BuildApp func(mem *nvm.Memory) (*task.Graph, []task.Persistent, error)
-
-	// ClockDriftPPM and ClockOffJitterPPM configure the persistent
-	// timekeeper's error model (crystal drift while on; off-period
-	// estimation error, seeded by ClockSeed). Zero means a perfect clock —
-	// the paper's assumption.
-	ClockDriftPPM     float64
-	ClockOffJitterPPM float64
-	ClockSeed         int64
 
 	// Integrity enables the self-healing NVM layer (ARTEMIS only): CRC
 	// guards over the control region, store, channels, and monitor state,
@@ -194,30 +181,19 @@ type Config struct {
 
 	// SwapCompiled, when non-nil, queues an over-the-air monitor
 	// reprogramming (ARTEMIS only): the compiled target spec is encoded as
-	// a versioned, checksummed bundle and delivered chunk-by-chunk over the
-	// monitoring radio link once the runtime's event sequence passes
-	// SwapAt, then activated atomically at a task boundary with live FSM
-	// state migrated per SwapMigration. Incompatible with
-	// ContinuationMonitors (the threaded deployment pins its monitor set).
+	// a checksummed version-2 bundle (the factory image is version 1) and
+	// delivered in 64-byte chunks over the monitoring radio link once the
+	// runtime's event sequence passes SwapAt, then activated atomically at
+	// a task boundary with live FSM state migrated over shared state names
+	// (ota.AutoMigration).
 	SwapCompiled *transform.Result
-	// SwapVersion is the bundle's version; defaults to 2 (the factory
-	// image is version 1) and must exceed the installed version.
-	SwapVersion uint64
 	// SwapAt is the runtime event sequence number after which the transfer
 	// starts; 0 starts at the first task boundary.
 	SwapAt uint64
-	// SwapMigration maps machine -> old state -> new state; nil derives
-	// the identity map over shared state names (ota.AutoMigration).
-	SwapMigration map[string]map[string]string
 	// SwapLink injects a lossy channel under the OTA transfer when
 	// monitors run on-device (with RemoteMonitors the transfer shares the
 	// remote deployment's link and RadioLink applies to both).
 	SwapLink monitor.Link
-	// SwapPolicy overrides the OTA transfer's retry/backoff schedule when
-	// monitors run on-device.
-	SwapPolicy *monitor.RetryPolicy
-	// SwapChunk overrides the transfer chunk size (default 64 bytes).
-	SwapChunk int
 	// SwapCorrupt, when non-nil, may alter a chunk in flight (fault
 	// injection); corruption is caught at verification and rolls back.
 	SwapCorrupt func(chunk int, data []byte) []byte
@@ -297,32 +273,26 @@ type taskRuntime interface {
 	Cursor() *task.Cursor
 }
 
+// memBytes is the FRAM size of every deployment: the MSP430FR5994's 256 KiB.
+const memBytes = 256 * 1024
+
+// swapVersion is the version of every OTA bundle; the factory image is
+// version 1.
+const swapVersion = 2
+
 // New assembles a deployment.
 func New(cfg Config) (*Framework, error) {
-	if cfg.Graph == nil && cfg.BuildApp == nil {
-		return nil, errors.New("core: Config.Graph or Config.BuildApp is required")
-	}
-	if cfg.Graph != nil && cfg.BuildApp != nil {
-		return nil, errors.New("core: Config.Graph and Config.BuildApp are mutually exclusive")
-	}
-	if len(cfg.StoreKeys) == 0 {
-		return nil, errors.New("core: Config.StoreKeys is required")
-	}
-	if cfg.MemBytes <= 0 {
-		cfg.MemBytes = 256 * 1024
+	if err := validate(cfg); err != nil {
+		return nil, err
 	}
 	if cfg.MaxReboots <= 0 {
 		cfg.MaxReboots = 1000
-	}
-	prof := device.MSP430FR5994()
-	if cfg.Profile != nil {
-		prof = *cfg.Profile
 	}
 	supply, err := buildSupply(cfg.Supply)
 	if err != nil {
 		return nil, err
 	}
-	mem := nvm.NewPooled(cfg.MemBytes)
+	mem := nvm.NewPooled(memBytes)
 	var extras []task.Persistent
 	if cfg.BuildApp != nil {
 		g, ex, err := cfg.BuildApp(mem)
@@ -331,11 +301,7 @@ func New(cfg Config) (*Framework, error) {
 		}
 		cfg.Graph, extras = g, ex
 	}
-	clock := &simclock.Clock{DriftPPM: cfg.ClockDriftPPM, OffJitterPPM: cfg.ClockOffJitterPPM}
-	if cfg.ClockOffJitterPPM != 0 {
-		clock.Rand = rand.New(rand.NewSource(cfg.ClockSeed))
-	}
-	mcu, err := device.NewMCU(clock, mem, supply, prof)
+	mcu, err := device.NewMCU(&simclock.Clock{}, mem, supply, device.MSP430FR5994())
 	if err != nil {
 		return nil, err
 	}
@@ -348,27 +314,6 @@ func New(cfg Config) (*Framework, error) {
 		mcu:   mcu,
 		dev:   &device.Device{MCU: mcu, MaxReboots: cfg.MaxReboots},
 		store: store,
-	}
-	if cfg.WatchdogLimit < 0 {
-		return nil, fmt.Errorf("core: WatchdogLimit must be >= 0, got %d", cfg.WatchdogLimit)
-	}
-	if (cfg.Integrity || cfg.WatchdogLimit > 0) && cfg.System != Artemis {
-		return nil, errors.New("core: Integrity and WatchdogLimit require the ARTEMIS runtime")
-	}
-	if cfg.Compiled != nil && cfg.System != Artemis {
-		return nil, errors.New("core: Config.Compiled requires the ARTEMIS runtime")
-	}
-	if cfg.FlightDepth < 0 {
-		return nil, fmt.Errorf("core: FlightDepth must be >= 0, got %d", cfg.FlightDepth)
-	}
-	if cfg.FlightDepth > 0 && cfg.System != Artemis {
-		return nil, errors.New("core: FlightDepth requires the ARTEMIS runtime")
-	}
-	if cfg.Telemetry && cfg.System == Mayfly {
-		return nil, errors.New("core: Telemetry requires the ARTEMIS or Ocelot runtime")
-	}
-	if (len(cfg.FreshnessBounds) > 0 || cfg.FreshnessDefault != 0) && cfg.System != Ocelot {
-		return nil, errors.New("core: FreshnessBounds and FreshnessDefault require the Ocelot runtime")
 	}
 	var tel *telemetry.Tracer
 	if cfg.Telemetry || cfg.FlightDepth > 0 {
@@ -417,8 +362,6 @@ func New(cfg Config) (*Framework, error) {
 			if err != nil {
 				return nil, err
 			}
-		} else if cfg.SpecSource != "" {
-			return nil, errors.New("core: Config.Compiled and Config.SpecSource are mutually exclusive")
 		}
 		mons, err := monitor.NewSet(mem, res)
 		if err != nil {
@@ -426,32 +369,15 @@ func New(cfg Config) (*Framework, error) {
 		}
 		mons.SetTracer(tel)
 		var deployed monitor.Interface = mons
-		switch {
-		case cfg.RemoteMonitors && cfg.ContinuationMonitors:
-			return nil, errors.New("core: RemoteMonitors and ContinuationMonitors are mutually exclusive")
-		case cfg.RemoteMonitors:
-			cost := monitor.DefaultRadioCost()
-			if cfg.RadioCost != nil {
-				cost = *cfg.RadioCost
-			}
-			rem := monitor.NewRemote(mons, mcu, cost)
+		if cfg.RemoteMonitors {
+			rem := monitor.NewRemote(mons, mcu)
 			rem.SetLink(cfg.RadioLink)
-			if cfg.RadioPolicy != nil {
-				rem.SetRetryPolicy(*cfg.RadioPolicy)
-			}
 			f.remote = rem
 			deployed = rem
-		case cfg.ContinuationMonitors:
-			ts, err := monitor.NewThreadedSet(mem, mons)
-			if err != nil {
-				return nil, err
-			}
-			deployed = ts
 		}
-		var otaMgr *ota.Manager
 		var reprog artemis.Reprogrammer
 		if cfg.SwapCompiled != nil {
-			otaMgr, err = f.buildOTA(cfg, mem, mcu, tel, integ, deployed, mons, res)
+			otaMgr, err := f.buildOTA(cfg, mem, mcu, tel, integ, deployed, mons, res)
 			if err != nil {
 				return nil, err
 			}
@@ -460,13 +386,10 @@ func New(cfg Config) (*Framework, error) {
 			deployed = otaMgr
 			reprog = otaMgr
 			f.otaMgr = otaMgr
-		} else if cfg.SwapVersion != 0 || cfg.SwapAt != 0 || cfg.SwapMigration != nil ||
-			cfg.SwapLink != nil || cfg.SwapPolicy != nil || cfg.SwapChunk != 0 || cfg.SwapCorrupt != nil {
-			return nil, errors.New("core: Swap* options require Config.SwapCompiled")
 		}
 		rt, err := artemis.New(artemis.Config{
 			MCU: mcu, Graph: cfg.Graph, Store: store, Monitors: deployed,
-			Rounds: cfg.Rounds, MaxSteps: cfg.MaxSteps, OnDecision: cfg.OnDecision,
+			Rounds: cfg.Rounds, OnDecision: cfg.OnDecision,
 			Extras: extras, Integrity: integ, WatchdogLimit: cfg.WatchdogLimit,
 			Telemetry: tel, OTA: reprog,
 		})
@@ -491,7 +414,7 @@ func New(cfg Config) (*Framework, error) {
 	case Mayfly:
 		rt, err := mayfly.New(mayfly.Config{
 			MCU: mcu, Graph: cfg.Graph, Store: store, Constraints: cfg.Constraints,
-			Rounds: cfg.Rounds, MaxSteps: cfg.MaxSteps,
+			Rounds: cfg.Rounds,
 		})
 		if err != nil {
 			return nil, err
@@ -501,16 +424,61 @@ func New(cfg Config) (*Framework, error) {
 		bounds := freshness.InferBounds(cfg.Graph, cfg.FreshnessBounds, cfg.FreshnessDefault)
 		rt, err := freshness.New(freshness.Config{
 			MCU: mcu, Graph: cfg.Graph, Store: store, Bounds: bounds,
-			Rounds: cfg.Rounds, MaxSteps: cfg.MaxSteps, Telemetry: tel,
+			Rounds: cfg.Rounds, Telemetry: tel,
 		})
 		if err != nil {
 			return nil, err
 		}
 		f.rt, f.fresh = rt, rt
-	default:
-		return nil, fmt.Errorf("core: unknown system %v", cfg.System)
 	}
 	return f, nil
+}
+
+// validate rejects a Config that names no application, or that sets an
+// option the chosen runtime would ignore.
+func validate(cfg Config) error {
+	switch {
+	case cfg.Graph == nil && cfg.BuildApp == nil:
+		return errors.New("core: Config.Graph or Config.BuildApp is required")
+	case cfg.Graph != nil && cfg.BuildApp != nil:
+		return errors.New("core: Config.Graph and Config.BuildApp are mutually exclusive")
+	case len(cfg.StoreKeys) == 0:
+		return errors.New("core: Config.StoreKeys is required")
+	case cfg.System != Artemis && cfg.System != Mayfly && cfg.System != Ocelot:
+		return fmt.Errorf("core: unknown system %v", cfg.System)
+	case cfg.WatchdogLimit < 0:
+		return fmt.Errorf("core: WatchdogLimit must be >= 0, got %d", cfg.WatchdogLimit)
+	case cfg.FlightDepth < 0:
+		return fmt.Errorf("core: FlightDepth must be >= 0, got %d", cfg.FlightDepth)
+	case cfg.Telemetry && cfg.System == Mayfly:
+		return errors.New("core: Telemetry requires the ARTEMIS or Ocelot runtime")
+	case (len(cfg.FreshnessBounds) > 0 || cfg.FreshnessDefault != 0) && cfg.System != Ocelot:
+		return errors.New("core: FreshnessBounds and FreshnessDefault require the Ocelot runtime")
+	case cfg.Compiled != nil && cfg.SpecSource != "":
+		return errors.New("core: Config.Compiled and Config.SpecSource are mutually exclusive")
+	case cfg.RadioLink != nil && !cfg.RemoteMonitors:
+		return errors.New("core: Config.RadioLink requires Config.RemoteMonitors")
+	case cfg.SwapCompiled == nil && (cfg.SwapAt != 0 || cfg.SwapLink != nil || cfg.SwapCorrupt != nil):
+		return errors.New("core: Swap* options require Config.SwapCompiled")
+	case cfg.RemoteMonitors && cfg.SwapLink != nil:
+		return errors.New("core: with RemoteMonitors the OTA transfer shares RadioLink; SwapLink applies to on-device monitors")
+	}
+	if cfg.System == Artemis {
+		return nil
+	}
+	switch {
+	case cfg.Integrity || cfg.WatchdogLimit > 0:
+		return errors.New("core: Integrity and WatchdogLimit require the ARTEMIS runtime")
+	case cfg.Compiled != nil:
+		return errors.New("core: Config.Compiled requires the ARTEMIS runtime")
+	case cfg.FlightDepth > 0:
+		return errors.New("core: FlightDepth requires the ARTEMIS runtime")
+	case cfg.RemoteMonitors:
+		return errors.New("core: RemoteMonitors requires the ARTEMIS runtime")
+	case cfg.SwapCompiled != nil:
+		return errors.New("core: SwapCompiled requires the ARTEMIS runtime")
+	}
+	return nil
 }
 
 // buildOTA encodes the swap bundle, picks the transfer's exchanger (the
@@ -519,44 +487,23 @@ func New(cfg Config) (*Framework, error) {
 // integrity guards.
 func (f *Framework) buildOTA(cfg Config, mem *nvm.Memory, mcu *device.MCU, tel *telemetry.Tracer,
 	integ *integrity.Manager, deployed monitor.Interface, mons *monitor.Set, res *transform.Result) (*ota.Manager, error) {
-	if cfg.ContinuationMonitors {
-		return nil, errors.New("core: SwapCompiled is incompatible with ContinuationMonitors")
-	}
-	version := cfg.SwapVersion
-	if version == 0 {
-		version = 2
-	}
-	mig := cfg.SwapMigration
-	if mig == nil {
-		mig = ota.AutoMigration(res.Program, cfg.SwapCompiled.Program)
-	}
-	encoded, err := ota.Encode(&ota.Bundle{Version: version, Result: cfg.SwapCompiled, Migration: mig})
+	encoded, err := ota.Encode(&ota.Bundle{Version: swapVersion, Result: cfg.SwapCompiled,
+		Migration: ota.AutoMigration(res.Program, cfg.SwapCompiled.Program)})
 	if err != nil {
 		return nil, err
 	}
 	var ex *monitor.Exchanger
 	if f.remote != nil {
-		if cfg.SwapLink != nil || cfg.SwapPolicy != nil {
-			return nil, errors.New("core: with RemoteMonitors the OTA transfer shares RadioLink/RadioPolicy; SwapLink/SwapPolicy apply to on-device monitors")
-		}
 		ex = f.remote.Exchanger()
 	} else {
-		cost := monitor.DefaultRadioCost()
-		if cfg.RadioCost != nil {
-			cost = *cfg.RadioCost
-		}
-		ex = monitor.NewExchanger(mcu, cost)
+		ex = monitor.NewExchanger(mcu)
 		ex.SetLink(cfg.SwapLink)
-		if cfg.SwapPolicy != nil {
-			ex.SetRetryPolicy(*cfg.SwapPolicy)
-		}
 	}
 	var mgr *ota.Manager
 	mgr, err = ota.New(ota.Config{
 		Mem: mem, MCU: mcu, Exchanger: ex, Telemetry: tel,
 		Deployment: deployed, ActiveSet: mons,
-		Capacity: len(encoded), Chunk: cfg.SwapChunk,
-		Corrupt: cfg.SwapCorrupt,
+		Capacity: len(encoded), Corrupt: cfg.SwapCorrupt,
 		OnInstall: func(r *transform.Result, set *monitor.Set) {
 			set.SetTracer(tel)
 			f.res = r

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/device"
+	"github.com/tinysystems/artemis-go/internal/freshness"
 	"github.com/tinysystems/artemis-go/internal/health"
 	"github.com/tinysystems/artemis-go/internal/mayfly"
 	"github.com/tinysystems/artemis-go/internal/nvm"
@@ -200,94 +201,37 @@ func TestBurstHarvesterRun(t *testing.T) {
 	}
 }
 
-func TestEightMHzProfileShapeHolds(t *testing.T) {
-	// The Figure-12 headline must not be an artefact of the 1 MHz operating
-	// point: at 8 MHz, ARTEMIS still completes under a 6-minute charging
-	// delay and Mayfly still non-terminates.
-	prof := device.MSP430FR5994At8MHz()
-	art := artemisConfig(SupplyConfig{Kind: SupplyFixedDelay, BudgetUJ: 800, Delay: 6 * simclock.Minute})
-	art.Profile = &prof
-	f, err := New(art)
-	if err != nil {
-		t.Fatal(err)
+// TestArtemisOnlySettingsRejected pins that New refuses a setting the chosen
+// runtime would silently ignore: the remote-monitor and OTA settings on
+// Mayfly and Ocelot, and RadioLink without the remote deployment it
+// configures.
+func TestArtemisOnlySettingsRejected(t *testing.T) {
+	settings := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"RemoteMonitors", func(c *Config) { c.RemoteMonitors = true }},
+		{"RadioLink", func(c *Config) { c.RadioLink = swapDeadLink{} }},
+		{"SwapCompiled", func(c *Config) { c.SwapCompiled = v2Compiled(t) }},
+		{"SwapAt", func(c *Config) { c.SwapAt = 2 }},
+		{"SwapLink", func(c *Config) { c.SwapLink = swapDeadLink{} }},
+		{"SwapCorrupt", func(c *Config) { c.SwapCorrupt = func(_ int, b []byte) []byte { return b } }},
 	}
-	rep, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
+	ocelot := Config{System: Ocelot, Graph: health.New().Graph, StoreKeys: health.Keys(),
+		FreshnessBounds: freshness.HealthBounds()}
+	for _, base := range []Config{mayflyConfig(SupplyConfig{}), ocelot} {
+		for _, s := range settings {
+			cfg := base
+			s.set(&cfg)
+			if _, err := New(cfg); err == nil {
+				t.Errorf("%v accepted %s", cfg.System, s.name)
+			}
+		}
 	}
-	if !rep.Completed || rep.NonTerminated {
-		t.Fatalf("ARTEMIS at 8 MHz: %+v", rep.RunResult)
-	}
-
-	may := mayflyConfig(SupplyConfig{Kind: SupplyFixedDelay, BudgetUJ: 800, Delay: 6 * simclock.Minute})
-	may.Profile = &prof
-	fm, err := New(may)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repm, err := fm.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repm.NonTerminated {
-		t.Fatal("Mayfly at 8 MHz completed under a 6-minute delay")
-	}
-}
-
-func TestClockJitterRobustness(t *testing.T) {
-	// A ±5% off-period estimation error around a 4-minute charging delay
-	// keeps the 5-minute MITD satisfiable; the run must still complete
-	// without path skips. (Near the boundary, jitter could flip decisions;
-	// 4 minutes leaves a full minute of margin.)
-	cfg := artemisConfig(SupplyConfig{Kind: SupplyFixedDelay, BudgetUJ: 800, Delay: 4 * simclock.Minute})
-	cfg.ClockOffJitterPPM = 5e4
-	cfg.ClockSeed = 7
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed {
-		t.Fatalf("jittered run failed: %+v", rep.RunResult)
-	}
-	if rep.ArtemisStats.PathSkips != 0 {
-		t.Fatalf("PathSkips = %d with 1-minute margin", rep.ArtemisStats.PathSkips)
-	}
-}
-
-func TestContinuationMonitorsEndToEnd(t *testing.T) {
-	// The ImmortalThreads-style dispatch must carry the full benchmark
-	// through intermittent power with identical outcomes.
-	cfg := artemisConfig(SupplyConfig{Kind: SupplyFixedDelay, BudgetUJ: 800, Delay: 6 * simclock.Minute})
-	cfg.ContinuationMonitors = true
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed || rep.NonTerminated {
-		t.Fatalf("continuation run: %+v", rep.RunResult)
-	}
-	if rep.ArtemisStats.PathSkips != 1 {
-		t.Fatalf("PathSkips = %d, want 1", rep.ArtemisStats.PathSkips)
-	}
-	if f.Store().Get("micData") != 1 {
-		t.Fatal("path 3 did not run")
-	}
-}
-
-func TestRemoteAndContinuationMutuallyExclusive(t *testing.T) {
-	cfg := artemisConfig(SupplyConfig{Kind: SupplyContinuous})
-	cfg.RemoteMonitors = true
-	cfg.ContinuationMonitors = true
+	cfg := artemisConfig(SupplyConfig{})
+	cfg.RadioLink = swapDeadLink{}
 	if _, err := New(cfg); err == nil {
-		t.Fatal("conflicting deployments accepted")
+		t.Error("ARTEMIS accepted RadioLink without RemoteMonitors")
 	}
 }
 

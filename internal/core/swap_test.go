@@ -137,14 +137,6 @@ func TestSwapOptionsRequireSwapCompiled(t *testing.T) {
 	}
 }
 
-func TestSwapRejectsContinuationMonitors(t *testing.T) {
-	cfg := swapConfig(t, SupplyConfig{Kind: SupplyContinuous})
-	cfg.ContinuationMonitors = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("SwapCompiled with ContinuationMonitors accepted")
-	}
-}
-
 // swapDeadLink drops every exchange: the transfer exhausts its retries on
 // the first chunk and the update must roll back cleanly.
 type swapDeadLink struct{}

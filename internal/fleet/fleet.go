@@ -42,7 +42,8 @@ import (
 
 // Config sizes an engine.
 type Config struct {
-	// Devices is the fleet size. Required unless Members is set.
+	// Devices is the fleet size: device i runs examplespecs.All()[i % n].
+	// Required unless Members is set.
 	Devices int
 	// Shards is the number of device groups stepped as units; <= 0 means
 	// min(Devices, GOMAXPROCS). The shard count never changes results,
@@ -51,11 +52,8 @@ type Config struct {
 	// Workers bounds the goroutines stepping shards; <= 0 means one per
 	// CPU. Like Shards, it never changes results.
 	Workers int
-	// Cases is the deployment mix; device i runs Cases[i % len(Cases)].
-	// Nil means examplespecs.All(). Ignored when Members is set.
-	Cases []examplespecs.Case
 	// Members, when non-nil, places an explicit device list instead of the
-	// Devices/Cases round-robin: device i is Members[i], keeping its given
+	// Devices round-robin: device i is Members[i], keeping its given
 	// name. This is the dynamic-membership hook the fleet server uses — it
 	// rebuilds (reshards) an engine from its registry snapshot whenever
 	// devices come or go, and the per-device digest independence means a
@@ -118,28 +116,14 @@ type Engine struct {
 // New assembles a fleet engine. It deploys each distinct case once to
 // validate it and to compile its monitor program, so per-step construction
 // skips every parse and compile for all devices that share the case (the
-// same sharing sweeps use). Cases are told apart by name, so Cases must not
-// repeat one.
+// same sharing sweeps use). Cases are told apart by name.
 func New(cfg Config) (*Engine, error) {
 	members := cfg.Members
 	if members == nil {
 		if cfg.Devices <= 0 {
 			return nil, fmt.Errorf("fleet: Devices must be positive, got %d", cfg.Devices)
 		}
-		cases := cfg.Cases
-		if cases == nil {
-			cases = examplespecs.All()
-		}
-		if len(cases) == 0 {
-			return nil, fmt.Errorf("fleet: empty case list")
-		}
-		seen := make(map[string]bool, len(cases))
-		for _, c := range cases {
-			if seen[c.Name] {
-				return nil, fmt.Errorf("fleet: duplicate case name %q", c.Name)
-			}
-			seen[c.Name] = true
-		}
+		cases := examplespecs.All()
 		members = make([]Member, cfg.Devices)
 		for i := range members {
 			c := cases[i%len(cases)]

@@ -275,13 +275,6 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := New(Config{Devices: 3, Members: []Member{{Name: "x", Case: examplespecs.All()[0]}}}); err == nil {
 		t.Error("conflicting Devices and Members accepted")
 	}
-	// Programs are compiled per case name, so two distinct cases sharing a
-	// name would silently run the first one's monitors.
-	all := examplespecs.All()
-	dup := []examplespecs.Case{all[0], {Name: all[0].Name, Config: all[1].Config}}
-	if _, err := New(Config{Devices: 2, Cases: dup}); err == nil {
-		t.Error("two distinct cases sharing a name accepted")
-	}
 }
 
 // TestFleetDevicesShareCompiledProgram pins construction-time compilation:

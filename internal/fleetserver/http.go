@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 
 	"github.com/tinysystems/artemis-go/internal/telemetry"
@@ -163,10 +164,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// retryAfterSeconds rounds the step interval up to the 1s floor the
-// Retry-After header can express.
+// retryAfterSeconds rounds the step interval up to whole seconds, at least
+// 1, the finest wait the Retry-After header can express: a client that
+// waits that long retries after the step that drains the queue.
 func retryAfterSeconds(cfg Config) int {
-	secs := int(cfg.StepInterval.Seconds())
+	secs := int(math.Ceil(cfg.StepInterval.Seconds()))
 	if secs < 1 {
 		secs = 1
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tinysystems/artemis-go/internal/telemetry"
 )
@@ -232,4 +233,75 @@ func TestHTTPObservability(t *testing.T) {
 	if rec = doJSON(t, h, "GET", "/nope", nil); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown path: %d, want 404", rec.Code)
 	}
+}
+
+// TestRetryAfterRoundsUp pins the 429 wait to whole seconds rounded up, so a
+// client that honours it never retries before the step that drains the
+// queue.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		interval time.Duration
+		want     int
+	}{
+		{10 * time.Millisecond, 1},
+		{time.Second, 1},
+		{1500 * time.Millisecond, 2},
+		{2 * time.Second, 2},
+	} {
+		if got := retryAfterSeconds(Config{StepInterval: c.interval}); got != c.want {
+			t.Errorf("StepInterval %v: Retry-After %d, want %d", c.interval, got, c.want)
+		}
+	}
+}
+
+// FuzzHandler: whatever body arrives at either POST endpoint, the server
+// answers without a 5xx, the next step succeeds (a bad batch must never
+// fail a step), and /healthz stays up. Every input gets a fresh server with
+// one device per spec, named after its spec, and queues four events deep.
+func FuzzHandler(f *testing.F) {
+	for _, body := range []string{
+		`{"events":[{"device":"health","kind":"start","task":"send"},{"device":"health","kind":"end","task":"send"}]}`,
+		`{"events":[{"device":"ghost","kind":"start","task":"send"}]}`,
+		`{"events":[{"device":"health","kind":"bogus","task":"send"}]}`,
+		`{"events":null}`,
+		`{"events":[{"device":"health","kind":"end","task":"bodyTemp","data":1e308}]}`,
+		`{"events":[{"device":"health","ki`,
+	} {
+		f.Add(false, []byte(body))
+	}
+	for _, body := range []string{
+		`{"spec":"health","count":4097}`,
+		`{"spec":"health","count":-5}`,
+		`{"id":"health","spec":"health"}`,
+		`{"spec":"heal`,
+	} {
+		f.Add(true, []byte(body))
+	}
+	f.Fuzz(func(t *testing.T, register bool, body []byte) {
+		s, err := New(Config{QueueDepth: 4, Shards: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range s.SpecNames() {
+			if _, err := s.Register(spec, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := s.Handler()
+		path := "/v1/events:batch"
+		if register {
+			path = "/v1/devices"
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("POST %s %q: %d %s", path, body, rec.Code, rec.Body)
+		}
+		if _, err := s.StepOnce(context.Background()); err != nil {
+			t.Fatalf("step after POST %s %q: %v", path, body, err)
+		}
+		if rec := doJSON(t, h, "GET", "/healthz", nil); rec.Code != http.StatusOK {
+			t.Fatalf("healthz after POST %s %q: %d", path, body, rec.Code)
+		}
+	})
 }

@@ -44,6 +44,10 @@ const Owner = "ocelot"
 // 260 (the loop additionally ages every bound of the dispatched task).
 const checkCycles = 270
 
+// maxSteps bounds scheduling-loop iterations per application run, a guard
+// against livelock.
+const maxSteps = 1_000_000
+
 // Bound is one input-freshness requirement: when Consumer starts,
 // Producer's data must be at most Age old.
 type Bound struct {
@@ -64,8 +68,6 @@ type Config struct {
 	Store  *task.Store
 	Bounds []Bound
 	Rounds int
-	// MaxSteps bounds scheduling-loop iterations (livelock guard).
-	MaxSteps int
 	// Telemetry, when non-nil, receives inputStale/reCollect events and
 	// commit-flip counts.
 	Telemetry *telemetry.Tracer
@@ -108,9 +110,6 @@ type Runtime struct {
 func New(cfg Config) (*Runtime, error) {
 	if cfg.MCU == nil || cfg.Graph == nil || cfg.Store == nil {
 		return nil, errors.New("ocelot: Config needs MCU, Graph, and Store")
-	}
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = 1_000_000
 	}
 	producers := map[string]bool{}
 	for _, b := range cfg.Bounds {
@@ -202,7 +201,7 @@ func (r *Runtime) Boot() error {
 	}
 
 	for steps := 0; ; steps++ {
-		if steps > r.cfg.MaxSteps {
+		if steps > maxSteps {
 			return task.ErrStuck
 		}
 		if r.cur.Done() {

@@ -94,34 +94,3 @@ func (t *Thread) Resume() {
 	}
 	t.pc.Set(0)
 }
-
-// Checkpointed wraps a function in a run-exactly-once persistent latch: a
-// persistent flag records completion, so re-invocations after power failures
-// skip work that already committed. This mirrors the paper's one-time
-// resetMonitor "initial hard reset" (§4.1).
-type Checkpointed struct {
-	done *nvm.Var[bool]
-}
-
-// NewCheckpointed allocates the latch.
-func NewCheckpointed(mem *nvm.Memory, owner, name string) (*Checkpointed, error) {
-	done, err := nvm.AllocVar[bool](mem, owner, name+".done")
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpointed{done: done}, nil
-}
-
-// Do runs f unless a previous Do already completed. The completion flag is
-// set after f returns; a power failure inside f re-runs it on the next boot,
-// so f must be idempotent.
-func (c *Checkpointed) Do(f func()) {
-	if c.done.Get() {
-		return
-	}
-	f()
-	c.done.Set(true)
-}
-
-// Done reports whether the latch has fired.
-func (c *Checkpointed) Done() bool { return c.done.Get() }

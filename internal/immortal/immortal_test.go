@@ -165,38 +165,3 @@ func TestCrashAnywhereResumeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCheckpointedDoExactlyOnce(t *testing.T) {
-	mem := nvm.New(1024)
-	cp, err := NewCheckpointed(mem, "t", "init")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := 0
-	for i := 0; i < 5; i++ {
-		cp.Do(func() { runs++ })
-	}
-	if runs != 1 {
-		t.Fatalf("runs = %d, want 1", runs)
-	}
-	if !cp.Done() {
-		t.Fatal("Done() false after Do")
-	}
-}
-
-func TestCheckpointedRerunsAfterCrashInside(t *testing.T) {
-	mem := nvm.New(1024)
-	cp, err := NewCheckpointed(mem, "t", "init")
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashing(func() { cp.Do(func() { panic(crash{}) }) })
-	if cp.Done() {
-		t.Fatal("latch set despite crash inside f")
-	}
-	runs := 0
-	cp.Do(func() { runs++ })
-	if runs != 1 || !cp.Done() {
-		t.Fatalf("runs=%d done=%v after reboot", runs, cp.Done())
-	}
-}

@@ -80,9 +80,6 @@ func Bool(b bool) Value { return Value{T: TBool, B: b} }
 // String wraps a string.
 func Str(s string) Value { return Value{T: TString, S: s} }
 
-// Zero returns the zero value of a type.
-func Zero(t Type) Value { return Value{T: t} }
-
 func (v Value) String() string {
 	switch v.T {
 	case TInt:

@@ -21,9 +21,14 @@ type rig struct {
 
 func newRig(t *testing.T, supply energy.Supply) *rig {
 	t.Helper()
+	return newRigAt(t, device.MSP430FR5994(), supply)
+}
+
+func newRigAt(t *testing.T, prof device.Profile, supply energy.Supply) *rig {
+	t.Helper()
 	app := health.New()
 	mem := nvm.New(256 * 1024)
-	mcu, err := device.NewMCU(&simclock.Clock{}, mem, supply, device.MSP430FR5994())
+	mcu, err := device.NewMCU(&simclock.Clock{}, mem, supply, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +164,16 @@ func TestLongChargingDelayNonTerminates(t *testing.T) {
 	// Paths after the stuck one never execute.
 	if got := r.store.Get("micData"); got != 0 {
 		t.Errorf("micData = %g: path 3 must never run", got)
+	}
+}
+
+// The Figure-12 headline must not be an artefact of the 1 MHz operating
+// point: at 8 MHz, Mayfly still non-terminates under a 6-minute charging
+// delay (ARTEMIS's side is internal/artemis TestEightMHzProfileCompletes).
+func TestEightMHzProfileNonTerminates(t *testing.T) {
+	r := newRigAt(t, device.MSP430FR5994At8MHz(), fixedSupply(t, 800, 6*simclock.Minute))
+	if _, err := r.dev.Run(r.rt.Boot); !errors.Is(err, device.ErrNonTermination) {
+		t.Fatalf("err = %v, want device.ErrNonTermination", err)
 	}
 }
 

@@ -424,7 +424,7 @@ func TestRemoteDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := DefaultRadioCost()
-	remote := NewRemote(set, mcu, cost)
+	remote := NewRemote(set, mcu)
 	remote.Reset()
 
 	if remote.HostMachines() != 0 {

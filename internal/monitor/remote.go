@@ -117,10 +117,10 @@ type Exchanger struct {
 	energy     energy.Joules
 }
 
-// NewExchanger builds the retry machinery for one radio link with a
-// perfect channel and the default retry policy.
-func NewExchanger(mcu *device.MCU, cost RadioCost) *Exchanger {
-	return &Exchanger{mcu: mcu, cost: cost, policy: DefaultRetryPolicy()}
+// NewExchanger builds the retry machinery for one radio link with the
+// default radio cost, a perfect channel and the default retry policy.
+func NewExchanger(mcu *device.MCU) *Exchanger {
+	return &Exchanger{mcu: mcu, cost: DefaultRadioCost(), policy: DefaultRetryPolicy()}
 }
 
 // SetLink installs the radio channel model (nil = perfect link).
@@ -217,11 +217,12 @@ type Remote struct {
 	ex  *Exchanger
 }
 
-// NewRemote wraps a monitor set as an external deployment, charging radio
-// costs on the given host MCU and assuming a perfect link with the default
-// retry policy. Use SetLink / SetRetryPolicy to inject channel faults.
-func NewRemote(set *Set, mcu *device.MCU, cost RadioCost) *Remote {
-	return &Remote{set: set, mcu: mcu, ex: NewExchanger(mcu, cost)}
+// NewRemote wraps a monitor set as an external deployment, charging the
+// default radio cost on the given host MCU and assuming a perfect link with
+// the default retry policy. Use SetLink / SetRetryPolicy to inject channel
+// faults.
+func NewRemote(set *Set, mcu *device.MCU) *Remote {
+	return &Remote{set: set, mcu: mcu, ex: NewExchanger(mcu)}
 }
 
 // SetLink installs the radio channel model (nil = perfect link).

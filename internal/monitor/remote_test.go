@@ -45,7 +45,7 @@ func TestRemoteRetriesThenDelivers(t *testing.T) {
 	set := compileSet(t, mem, `accel { maxTries: 3 onFail: skipPath; }`)
 	mcu := testMCU(t, mem)
 	link := &scriptedLink{fails: map[uint64]int{1: 2}}
-	rem := NewRemote(set, mcu, DefaultRadioCost())
+	rem := NewRemote(set, mcu)
 	rem.SetLink(link)
 
 	fs, err := rem.Deliver(startEv(1, "accel", 0, 2))
@@ -77,7 +77,7 @@ func TestRemoteBackoffWaitsBetweenRetries(t *testing.T) {
 	mem := nvm.New(64 * 1024)
 	set := compileSet(t, mem, `accel { maxTries: 3 onFail: skipPath; }`)
 	mcu := testMCU(t, mem)
-	rem := NewRemote(set, mcu, DefaultRadioCost())
+	rem := NewRemote(set, mcu)
 	rem.SetLink(&scriptedLink{fails: map[uint64]int{1: 2}})
 	rem.SetRetryPolicy(RetryPolicy{MaxRetries: 2, Backoff: 5 * simclock.Millisecond, Multiplier: 2})
 
@@ -99,7 +99,7 @@ func TestRemoteDegradesToLocalOnDeadLink(t *testing.T) {
 	set := compileSet(t, mem, `accel { maxTries: 2 onFail: skipPath; }`)
 	mcu := testMCU(t, mem)
 	link := &deadLink{}
-	rem := NewRemote(set, mcu, DefaultRadioCost())
+	rem := NewRemote(set, mcu)
 	rem.SetLink(link)
 	rem.SetRetryPolicy(RetryPolicy{MaxRetries: 1, Backoff: simclock.Millisecond, Multiplier: 2})
 
@@ -133,7 +133,7 @@ func TestRemoteDuplicateDeliveriesAreIdempotent(t *testing.T) {
 	mem := nvm.New(64 * 1024)
 	set := compileSet(t, mem, `accel { maxTries: 3 onFail: skipPath; }`)
 	mcu := testMCU(t, mem)
-	rem := NewRemote(set, mcu, DefaultRadioCost())
+	rem := NewRemote(set, mcu)
 	rem.SetLink(&scriptedLink{dup: 2})
 
 	// Each event is duplicated twice by the channel; the per-sequence
@@ -177,7 +177,7 @@ func TestControlExchangesUseDistinctSequences(t *testing.T) {
 	set := compileSet(t, mem, `accel { maxTries: 3 onFail: skipPath; }`)
 	mcu := testMCU(t, mem)
 	link := &recordingLink{dup: 1}
-	rem := NewRemote(set, mcu, DefaultRadioCost())
+	rem := NewRemote(set, mcu)
 	rem.SetLink(link)
 
 	// An event delivery plus two path re-initialisations through a
@@ -226,7 +226,7 @@ func TestRetryPolicyMultiplierClamping(t *testing.T) {
 		mem := nvm.New(64 * 1024)
 		set := compileSet(t, mem, `accel { maxTries: 3 onFail: skipPath; }`)
 		mcu := testMCU(t, mem)
-		rem := NewRemote(set, mcu, DefaultRadioCost())
+		rem := NewRemote(set, mcu)
 		rem.SetLink(&scriptedLink{fails: map[uint64]int{1: 2}})
 		rem.SetRetryPolicy(RetryPolicy{MaxRetries: 2, Backoff: 5 * simclock.Millisecond, Multiplier: tc.mult})
 
@@ -246,7 +246,7 @@ func TestRemotePerfectLinkNeverRetries(t *testing.T) {
 	mem := nvm.New(64 * 1024)
 	set := compileSet(t, mem, `accel { maxTries: 3 onFail: skipPath; }`)
 	mcu := testMCU(t, mem)
-	rem := NewRemote(set, mcu, DefaultRadioCost())
+	rem := NewRemote(set, mcu)
 
 	if _, err := rem.Deliver(startEv(1, "accel", 0, 2)); err != nil {
 		t.Fatal(err)

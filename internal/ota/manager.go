@@ -16,9 +16,12 @@ import (
 // Owner is the NVM accounting label for OTA state (Table 2).
 const Owner = "ota"
 
-// DefaultChunk is the bundle transfer chunk size: one BLE-class
-// notification payload per control exchange.
-const DefaultChunk = 64
+// chunkSize is the bundle transfer chunk size: one BLE-class notification
+// payload per control exchange.
+const chunkSize = 64
+
+// baseVersion is the factory image's version.
+const baseVersion = 1
 
 // chunkStageCycles is the synthetic CPU cost of staging one received chunk
 // (offset bookkeeping plus the copy into the staging region's write path).
@@ -57,12 +60,8 @@ type Config struct {
 	Deployment monitor.Interface
 	ActiveSet  *monitor.Set
 
-	// BaseVersion is the factory image's version; defaults to 1.
-	BaseVersion uint64
 	// Capacity is the staging region size in bytes; defaults to 4096.
 	Capacity int
-	// Chunk is the transfer chunk size; defaults to DefaultChunk.
-	Chunk int
 
 	// Corrupt, when non-nil, is the fault-injection hook chaos campaigns
 	// use: it may return altered bytes for a chunk in flight. The staged
@@ -127,7 +126,6 @@ type Manager struct {
 	group   *nvm.CommitGroup
 	meta    *nvm.Committed
 	staging *nvm.Committed
-	chunk   int
 
 	dep       monitor.Interface
 	active    *monitor.Set
@@ -154,14 +152,8 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Mem == nil || cfg.MCU == nil || cfg.Exchanger == nil || cfg.Deployment == nil || cfg.ActiveSet == nil {
 		return nil, fmt.Errorf("ota: Config needs Mem, MCU, Exchanger, Deployment, and ActiveSet")
 	}
-	if cfg.BaseVersion == 0 {
-		cfg.BaseVersion = 1
-	}
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4096
-	}
-	if cfg.Chunk <= 0 {
-		cfg.Chunk = DefaultChunk
 	}
 	meta, err := nvm.AllocCommitted(cfg.Mem, Owner, "meta", metaWords*8)
 	if err != nil {
@@ -169,7 +161,7 @@ func New(cfg Config) (*Manager, error) {
 	}
 	init := make([]byte, metaWords*8)
 	meta.InitImages(init)
-	meta.WriteUint64(wActiveVersion*8, cfg.BaseVersion)
+	meta.WriteUint64(wActiveVersion*8, baseVersion)
 	staging, err := nvm.AllocCommitted(cfg.Mem, Owner, "staging", cfg.Capacity)
 	if err != nil {
 		return nil, err
@@ -182,8 +174,8 @@ func New(cfg Config) (*Manager, error) {
 	staging.Join(group)
 	m := &Manager{
 		mem: cfg.Mem, mcu: cfg.MCU, ex: cfg.Exchanger, tel: cfg.Telemetry,
-		group: group, meta: meta, staging: staging, chunk: cfg.Chunk,
-		dep: cfg.Deployment, active: cfg.ActiveSet, installed: cfg.BaseVersion,
+		group: group, meta: meta, staging: staging,
+		dep: cfg.Deployment, active: cfg.ActiveSet, installed: baseVersion,
 		corrupt: cfg.Corrupt, onInstall: cfg.OnInstall,
 	}
 	// The factory version becomes durable now (construction time, before
@@ -371,13 +363,13 @@ func (m *Manager) received() uint64 { return m.meta.ReadUint64(wReceived * 8) }
 func (m *Manager) transfer(now simclock.Time) []ir.Failure {
 	total := len(m.pending)
 	for off := int(m.received()); off < total; off = int(m.received()) {
-		n := m.chunk
+		n := chunkSize
 		if off+n > total {
 			n = total - off
 		}
 		data := m.pending[off : off+n]
 		if m.corrupt != nil {
-			data = m.corrupt(off/m.chunk, data)
+			data = m.corrupt(off/chunkSize, data)
 		}
 		_, delivered, dups := m.ex.ControlExchange()
 		if !delivered {
