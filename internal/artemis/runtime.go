@@ -769,10 +769,14 @@ func (r *Runtime) enterCompleteMode() {
 	r.commitMove()
 }
 
-// stepUnmonitored runs one task of the completing path without events.
+// stepUnmonitored runs one task of the completing path without events. A
+// finished task already committed its outputs: a power failure before the
+// move below reboots here, and the task must not run a second time.
 func (r *Runtime) stepUnmonitored() (bool, error) {
-	if err := r.runCurrentTask(); err != nil {
-		return false, err
+	if r.state.getI(wStatus) != statusFinished {
+		if err := r.runCurrentTask(); err != nil {
+			return false, err
+		}
 	}
 	if r.cur.NextTask() {
 		r.state.setI(wStatus, statusReady)
