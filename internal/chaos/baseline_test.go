@@ -5,36 +5,28 @@ import (
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/core"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/freshness"
 	"github.com/tinysystems/artemis-go/internal/mayfly"
 	"github.com/tinysystems/artemis-go/internal/simclock"
 )
 
-// baselineExactKeys are the health outputs a baseline runtime must produce
-// exactly once after any single crash: the sample, collection and send
-// counters.
-var baselineExactKeys = []string{"tempCount", "micData", "accelData", "sentCount"}
-
 // baselineExplorer is the exhaustive write-granularity crash explorer for
 // the health benchmark on one of the baseline runtimes, with the runtime's
-// evaluation property set, under the given supply. Neither baseline has
-// ARTEMIS's collect monitors or timeliness skips, so there is no
-// application invariant to relax: every output must equal the reference.
+// evaluation property set, under the given supply. Every output must equal
+// the reference, and the health counters must count each task once.
 func baselineExplorer(sys core.System, supply core.SupplyConfig) *Explorer {
-	return &Explorer{
-		Build: sharedHealthBuild(func(cfg *core.Config) {
-			cfg.System, cfg.Compiled, cfg.Supply = sys, nil, supply
-			switch sys {
-			case core.Mayfly:
-				cfg.Constraints = mayfly.HealthConstraints()
-			case core.Ocelot:
-				cfg.FreshnessBounds = freshness.HealthBounds()
-			}
-		}),
-		Keys:      healthKeys,
-		ExactKeys: baselineExactKeys,
-		Workers:   2,
-	}
+	e := NewExplorer(examplespecs.Health(), func(cfg *core.Config) {
+		cfg.System, cfg.Compiled, cfg.Supply = sys, nil, supply
+		switch sys {
+		case core.Mayfly:
+			cfg.Constraints = mayfly.HealthConstraints()
+		case core.Ocelot:
+			cfg.FreshnessBounds = freshness.HealthBounds()
+		}
+	})
+	e.Workers = 2
+	return e
 }
 
 // TestOcelotExhaustiveCrashExploration sweeps every persistent write of the

@@ -168,20 +168,14 @@ type Explorer struct {
 	// sequence when uninterrupted.
 	Build func() (*core.Framework, error)
 
-	// Keys are the store outputs captured into each Outcome.
+	// Keys are the store outputs captured into each Outcome. Every one
+	// must equal the reference after any single crash (the consistency
+	// oracle).
 	Keys []string
 
-	// ExactKeys are outputs that must equal the reference exactly after
-	// any single crash — counters whose divergence would prove lost or
-	// doubled work (the idempotence oracle).
+	// ExactKeys are the counters among Keys whose divergence would prove
+	// lost or doubled work (the idempotence oracle).
 	ExactKeys []string
-
-	// Invariant, when non-nil, is the app-level consistency oracle: it
-	// checks a crashed run's outcome against the reference, allowing the
-	// divergences the application's own semantics permit (a crash inside
-	// a transmission may legitimately trip a timeliness skip). When nil,
-	// every captured output must equal the reference exactly.
-	Invariant func(ref, got Outcome) error
 
 	// Budget, when positive, samples that many distinct crash points
 	// instead of sweeping all of them — the CI smoke mode. The sample is
@@ -489,18 +483,11 @@ func (e *Explorer) judge(ref, got Outcome) []OracleFailure {
 		}
 	}
 
-	// Consistency: the application-level invariant (or exact equality of
-	// all captured outputs when none is given).
-	if e.Invariant != nil {
-		if err := e.Invariant(ref, got); err != nil {
-			fails = append(fails, OracleFailure{OracleConsistency, err.Error()})
-		}
-	} else {
-		for _, key := range e.Keys {
-			if got.Outputs[key] != ref.Outputs[key] {
-				fails = append(fails, OracleFailure{OracleConsistency,
-					fmt.Sprintf("%s = %g, reference %g", key, got.Outputs[key], ref.Outputs[key])})
-			}
+	// Consistency: every captured output equals the reference.
+	for _, key := range e.Keys {
+		if got.Outputs[key] != ref.Outputs[key] {
+			fails = append(fails, OracleFailure{OracleConsistency,
+				fmt.Sprintf("%s = %g, reference %g", key, got.Outputs[key], ref.Outputs[key])})
 		}
 	}
 	return fails

@@ -6,17 +6,17 @@ import (
 
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/correctness"
-	"github.com/tinysystems/artemis-go/internal/health"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/nvm"
 	"github.com/tinysystems/artemis-go/internal/simclock"
 	"github.com/tinysystems/artemis-go/internal/task"
 )
 
-// This file derives the seventh and eighth oracles from the formal
-// memory-consistency definitions (internal/correctness): instead of
-// invariants we wrote, the sweep checks the conditions under which a formal
-// model says an intermittent execution equals SOME continuously-powered one
-// — re-execution isolation ("memory", with committed-state reachability
+// This file derives two more oracles from the formal memory-consistency
+// definitions (internal/correctness): instead of invariants we wrote, the
+// sweep checks the conditions under which a formal model says an
+// intermittent execution equals SOME continuously-powered one —
+// re-execution isolation ("memory", with committed-state reachability
 // against a golden continuous run) and input re-collection ("inputs").
 
 // formalState is the per-framework instrumentation a formal build carries:
@@ -27,38 +27,34 @@ type formalState struct {
 	images  [][]byte
 }
 
-// buildFormalHealth assembles a health deployment whose task graph is
-// instrumented for read/write-set tracking, with committed-store images
-// captured at every commit flip and reboot. Telemetry stays off: the
-// observer and the uncharged PeekCommitted reads leave the energy model
-// and write counts untouched, so crash schedules match the plain build.
-func buildFormalHealth() (*core.Framework, *formalState, error) {
-	app := health.New()
-	res, err := health.CompiledShared()
-	if err != nil {
-		return nil, nil, err
-	}
+// deployFormal deploys the case with its task graph instrumented for
+// read/write-set tracking (cfg.Graph, or the graph cfg.BuildApp returns),
+// with committed-store images captured at every commit flip and reboot.
+// Telemetry stays off: the observer and the uncharged PeekCommitted reads
+// leave the energy model and write counts untouched, so crash schedules
+// match the plain build.
+func (d *deployer) deployFormal() (*core.Framework, *formalState, error) {
 	st := &formalState{}
-	f, err := core.New(core.Config{
-		System:    core.Artemis,
-		StoreKeys: health.Keys(),
-		Compiled:  res,
-		Supply:    core.SupplyConfig{Kind: core.SupplyContinuous},
-		BuildApp: func(mem *nvm.Memory) (*task.Graph, []task.Persistent, error) {
+	f, err := d.deploy(func(cfg *core.Config) {
+		graph, build := cfg.Graph, cfg.BuildApp
+		cfg.Graph = nil
+		cfg.BuildApp = func(mem *nvm.Memory) (*task.Graph, []task.Persistent, error) {
 			st.tracker = correctness.NewTracker(mem)
-			g, err := st.tracker.InstrumentGraph(app.Graph)
-			return g, nil, err
-		},
+			g, extras := graph, []task.Persistent(nil)
+			if build != nil {
+				var err error
+				if g, extras, err = build(mem); err != nil {
+					return nil, nil, err
+				}
+			}
+			g, err := st.tracker.InstrumentGraph(g)
+			return g, extras, err
+		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	size := len(health.Keys()) * 8
-	capture := func() {
-		img := make([]byte, size)
-		f.Store().Backing().PeekCommitted(img)
-		st.images = append(st.images, img)
-	}
+	capture := func() { st.images = append(st.images, committedStore(f)) }
 	// The store commits through the runtime's shared group, so every task
 	// boundary (and every monitor/event commit riding the same selector)
 	// lands one image. The reboot hook catches the one state a crash
@@ -71,29 +67,26 @@ func buildFormalHealth() (*core.Framework, *formalState, error) {
 	return f, st, nil
 }
 
-// healthImageMask projects out the store slots whose committed value
-// legitimately depends on wall-clock timing: sentCount, because the spec's
-// maxDuration guard may skip a send in some continuous executions.
-func healthImageMask() []int {
-	var mask []int
-	for i, k := range health.Keys() {
-		if k == "sentCount" {
-			mask = append(mask, i*8)
-		}
-	}
-	return mask
+// committedStore reads the store's committed image without charging the
+// device for it.
+func committedStore(f *core.Framework) []byte {
+	b := f.Store().Backing()
+	img := make([]byte, b.Size())
+	b.PeekCommitted(img)
+	return img
 }
 
-// goldenHealthImages runs one continuously-powered instrumented deployment
-// to completion and collects every committed store image it reached — the
+// goldenImages runs one continuously-powered instrumented deployment to
+// completion and collects every committed store image it reached — the
 // reachability set the formal "memory" oracle compares crashed runs
-// against. It also proves the shipped workload WAR-clean: a hazard here
+// against. It also proves the case's workload WAR-clean: a hazard here
 // means the golden run itself read-then-wrote raw state.
-func goldenHealthImages() (*correctness.ImageSet, error) {
-	f, st, err := buildFormalHealth()
+func (d *deployer) goldenImages() (*correctness.ImageSet, error) {
+	f, st, err := d.deployFormal()
 	if err != nil {
 		return nil, err
 	}
+	defer f.Release()
 	rep, err := f.Run()
 	if err != nil {
 		return nil, fmt.Errorf("chaos: golden continuous run failed: %w", err)
@@ -102,55 +95,49 @@ func goldenHealthImages() (*correctness.ImageSet, error) {
 		return nil, fmt.Errorf("chaos: golden continuous run did not complete: %+v", rep.RunResult)
 	}
 	if hz := st.tracker.Hazards(); len(hz) != 0 {
-		return nil, fmt.Errorf("chaos: golden run found WAR hazards in the shipped workload:\n%s",
+		return nil, fmt.Errorf("chaos: golden run found WAR hazards in the workload:\n%s",
 			correctness.FormatHazards(hz))
 	}
-	size := len(health.Keys()) * 8
-	set := correctness.NewImageSet(size, healthImageMask())
-	for _, img := range st.images {
+	final := committedStore(f)
+	set := correctness.NewImageSet(len(final))
+	for _, img := range append(st.images, final) {
 		set.Add(img)
 	}
-	final := make([]byte, size)
-	f.Store().Backing().PeekCommitted(final)
-	set.Add(final)
 	return set, nil
 }
 
-// NewHealthFormalExplorer builds the exhaustive crash explorer with the
-// two formally-derived oracles on top of the standard four:
+// NewFormalExplorer builds the exhaustive crash explorer for one example
+// case with the two formally-derived oracles on top of NewExplorer's four:
 //
 //   - "memory": no re-executed task observes a value its own interrupted
 //     attempt wrote (re-execution isolation), and every committed store
 //     image the crashed run made durable — including the post-reboot state
-//     and the final state — is one the golden continuous run reached
-//     (committed-state reachability, with timing-dependent slots projected
-//     out).
+//     and the final state — is one the case's golden continuous run
+//     reached (committed-state reachability).
 //   - "inputs": the re-execution of a crash-interrupted task re-collects
 //     the sensor inputs the interrupted attempt had consumed, rather than
 //     replaying persisted samples.
 //
-// Budget > 0 samples that many crash points; 0 sweeps every NVM write.
-func NewHealthFormalExplorer(seed int64, budget int) (*Explorer, error) {
-	golden, err := goldenHealthImages()
+// The tracker nearly doubles the cost of a crash point, so the formal
+// oracles are their own explorer rather than a NewExplorer default.
+func NewFormalExplorer(c examplespecs.Case) (*Explorer, error) {
+	d := newDeployer(c)
+	golden, err := d.goldenImages()
 	if err != nil {
 		return nil, err
 	}
-	size := len(health.Keys()) * 8
 	var states sync.Map // *core.Framework -> *formalState
 	return &Explorer{
 		Build: func() (*core.Framework, error) {
-			f, st, err := buildFormalHealth()
+			f, st, err := d.deployFormal()
 			if err != nil {
 				return nil, err
 			}
 			states.Store(f, st)
 			return f, nil
 		},
-		Keys:        healthKeys,
-		ExactKeys:   healthExactKeys,
-		Invariant:   healthInvariant,
-		Seed:        seed,
-		Budget:      budget,
+		Keys:        d.cfg.StoreKeys,
+		ExactKeys:   c.Counters,
 		PostOracles: []string{correctness.OracleMemory, correctness.OracleInputs},
 		PostCheck: func(f *core.Framework, ref, got Outcome) []OracleFailure {
 			v, ok := states.LoadAndDelete(f)
@@ -162,9 +149,7 @@ func NewHealthFormalExplorer(seed int64, budget int) (*Explorer, error) {
 			for _, viol := range st.tracker.ReExecutionViolations() {
 				fails = append(fails, OracleFailure{viol.Oracle, viol.Detail})
 			}
-			final := make([]byte, size)
-			f.Store().Backing().PeekCommitted(final)
-			for _, img := range append(st.images, final) {
+			for _, img := range append(st.images, committedStore(f)) {
 				if !golden.Contains(img) {
 					fails = append(fails, OracleFailure{correctness.OracleMemory,
 						fmt.Sprintf("committed store image unreachable by any continuous execution (%x)", img)})

@@ -1,64 +1,58 @@
 package chaos
 
 import (
-	"os"
+	"slices"
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/correctness"
-	"github.com/tinysystems/artemis-go/internal/parallel"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 )
 
-// TestFormalExplorerSampled crashes the health benchmark at sampled NVM
-// writes with the two formally-derived oracles armed: every recovered run
-// must satisfy re-execution isolation, commit only store images a
-// continuous execution reaches, and re-collect interrupted sensor inputs
-// — on top of the standard four oracles.
-func TestFormalExplorerSampled(t *testing.T) {
-	ex, err := NewHealthFormalExplorer(1, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.Workers = 4
-	rep, err := ex.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Explored != 60 {
-		t.Fatalf("explored %d points, want 60", rep.Explored)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("formal exploration failed:\n%s", rep)
-	}
-	for _, oracle := range []string{correctness.OracleMemory, correctness.OracleInputs} {
-		if rep.OraclePass[oracle] != rep.Explored {
-			t.Fatalf("oracle %s passed %d of %d:\n%s", oracle, rep.OraclePass[oracle], rep.Explored, rep)
-		}
-	}
-}
-
-// TestFormalExplorerExhaustiveDeep sweeps EVERY persistent write of the
-// health run with the formal oracles armed — the weekly CI deep-chaos
-// configuration; set ARTEMIS_DEEP_CHAOS=1 to run it locally.
-func TestFormalExplorerExhaustiveDeep(t *testing.T) {
-	if os.Getenv("ARTEMIS_DEEP_CHAOS") == "" {
-		t.Skip("exhaustive formal sweep runs in the weekly CI job; set ARTEMIS_DEEP_CHAOS=1 to run")
-	}
-	ex, err := NewHealthFormalExplorer(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.Workers = parallel.DefaultWorkers()
-	rep, err := ex.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", rep)
-	if rep.Explored+rep.Pruned != rep.Writes {
-		t.Fatalf("sweep not exhaustive: %d explored + %d pruned of %d writes",
-			rep.Explored, rep.Pruned, rep.Writes)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("exhaustive formal exploration failed:\n%s", rep)
+// TestEveryCaseEveryOracle crashes every example case after EVERY
+// persistent write of its continuous run and requires all six oracles
+// clean at every point: atomicity, consistency (every output equals the
+// continuous run's), progress, idempotence (the case's Counters),
+// re-execution isolation with committed-state reachability against the
+// case's golden run (memory), and input re-collection (inputs).
+func TestEveryCaseEveryOracle(t *testing.T) {
+	oracles := []string{OracleAtomicity, OracleConsistency, OracleProgress, OracleIdempotence,
+		correctness.OracleMemory, correctness.OracleInputs}
+	for _, c := range examplespecs.All() {
+		t.Run(c.Name, func(t *testing.T) {
+			cfg, err := c.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.Counters) == 0 {
+				t.Fatal("case declares no Counters")
+			}
+			for _, k := range c.Counters {
+				if !slices.Contains(cfg.StoreKeys, k) {
+					t.Fatalf("counter %q is not among the store keys %v", k, cfg.StoreKeys)
+				}
+			}
+			ex, err := NewFormalExplorer(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex.Workers = 2
+			rep, err := ex.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("\n%s", rep)
+			if rep.Explored != rep.Writes {
+				t.Fatalf("explored %d of %d write points", rep.Explored, rep.Writes)
+			}
+			for _, o := range oracles {
+				if rep.OraclePass[o]+rep.OracleFail[o] != rep.Explored {
+					t.Errorf("oracle %s judged %d of %d points", o, rep.OraclePass[o]+rep.OracleFail[o], rep.Explored)
+				}
+			}
+			if rep.Failed != 0 {
+				t.Fatalf("%d of %d crash points failed an oracle:\n%s", rep.Failed, rep.Explored, rep)
+			}
+		})
 	}
 }
 
@@ -67,7 +61,7 @@ func TestFormalExplorerExhaustiveDeep(t *testing.T) {
 // constructor refuses to produce an explorer when the golden continuous
 // run exhibits a write-after-read hazard.
 func TestGoldenRunWARClean(t *testing.T) {
-	set, err := goldenHealthImages()
+	set, err := newDeployer(examplespecs.Health()).goldenImages()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/tinysystems/artemis-go/internal/core"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/health"
 	"github.com/tinysystems/artemis-go/internal/monitor"
 	"github.com/tinysystems/artemis-go/internal/simclock"
@@ -13,58 +14,6 @@ import (
 // shared campaign definitions the CLI (`artemis-sim --chaos`) and the test
 // suite both run. Keeping them here means "the campaign the CI smoke test
 // passes" and "the campaign a user runs" are the same object.
-
-// healthKeys are the outputs the oracles compare across runs.
-var healthKeys = []string{"tempCount", "avgTemp", "sentCount", "micData", "accelData", "heartRate"}
-
-// healthExactKeys must be bit-identical to the reference after any single
-// crash: counters and one-shot flags no crash may lose or double-count.
-var healthExactKeys = []string{"tempCount", "micData", "accelData"}
-
-// buildHealth deploys a fresh health app on continuous power; mut, when
-// non-nil, adjusts the configuration or the app before core.New.
-func buildHealth(mut func(cfg *core.Config, app *health.App)) (*core.Framework, error) {
-	return deployHealth(health.New(), health.Keys(), mut)
-}
-
-// sharedHealthBuild returns a Build function for an explorer that deploys
-// the health app with its configuration adjusted by mut (nil for none). The
-// app and its store keys are built once and shared by every deployment the
-// function builds, concurrent workers included, the way
-// health.CompiledShared shares the compiled spec: the task graph is
-// immutable and the tasks only read their App, so building them per crash
-// point would only make garbage (about a quarter of a point's heap
-// allocations). mut therefore gets the configuration only.
-func sharedHealthBuild(mut func(cfg *core.Config)) func() (*core.Framework, error) {
-	app, keys := health.New(), health.Keys()
-	var adjust func(cfg *core.Config, _ *health.App)
-	if mut != nil {
-		adjust = func(cfg *core.Config, _ *health.App) { mut(cfg) }
-	}
-	return func() (*core.Framework, error) { return deployHealth(app, keys, adjust) }
-}
-
-// deployHealth deploys app with the given store keys on continuous power.
-func deployHealth(app *health.App, keys []string, mut func(cfg *core.Config, app *health.App)) (*core.Framework, error) {
-	// The compiled Figure-5 program is immutable and process-wide; sharing
-	// it avoids re-parsing the spec for each of the hundreds-to-thousands
-	// of frameworks a campaign builds, and is safe for concurrent workers.
-	res, err := health.CompiledShared()
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{
-		System:    core.Artemis,
-		Graph:     app.Graph,
-		StoreKeys: keys,
-		Compiled:  res,
-		Supply:    core.SupplyConfig{Kind: core.SupplyContinuous},
-	}
-	if mut != nil {
-		mut(&cfg, app)
-	}
-	return core.New(cfg)
-}
 
 // healthInvariant checks the application-level safety properties that must
 // hold in every surviving execution, crash or not:
@@ -93,14 +42,9 @@ func healthInvariant(ref, got Outcome) error {
 // write index gets its own crash run. Budget > 0 switches to seeded
 // sampling of that many points.
 func NewHealthExplorer(seed int64, budget int) *Explorer {
-	return &Explorer{
-		Build:     sharedHealthBuild(nil),
-		Keys:      healthKeys,
-		ExactKeys: healthExactKeys,
-		Invariant: healthInvariant,
-		Seed:      seed,
-		Budget:    budget,
-	}
+	e := NewExplorer(examplespecs.Health(), nil)
+	e.Seed, e.Budget = seed, budget
+	return e
 }
 
 // NewHealthRadioCampaign builds the lossy-radio campaign: health benchmark
@@ -110,14 +54,15 @@ func NewHealthExplorer(seed int64, budget int) *Explorer {
 // counting must stay exact: delivery loss must degrade to local
 // evaluation, never lose or double-count an event.
 func NewHealthRadioCampaign(seed int64, runs int) *RadioCampaign {
+	d := newDeployer(examplespecs.Health())
 	return &RadioCampaign{
 		Build: func(link monitor.Link) (*core.Framework, error) {
-			return buildHealth(func(cfg *core.Config, _ *health.App) {
+			return d.deploy(func(cfg *core.Config) {
 				cfg.RemoteMonitors = true
 				cfg.RadioLink = link
 			})
 		},
-		Keys: healthKeys,
+		Keys: d.cfg.StoreKeys,
 		Invariant: func(ref, got Outcome) error {
 			if got.Outputs["tempCount"] != 10 {
 				return fmt.Errorf("tempCount = %v, want 10 (event lost or double-counted)", got.Outputs["tempCount"])
@@ -154,13 +99,14 @@ func NewHealthSensorCampaign() *SensorCampaign {
 			return nil
 		}
 	}
+	d := newDeployer(examplespecs.Health())
 	return &SensorCampaign{
 		Build: func(f SensorFault) (*core.Framework, error) {
-			return buildHealth(func(_ *core.Config, app *health.App) {
-				app.SenseTemp = f.Apply
-			})
+			app := health.New()
+			app.SenseTemp = f.Apply
+			return d.deploy(func(cfg *core.Config) { cfg.Graph = app.Graph })
 		},
-		Keys: healthKeys,
+		Keys: d.cfg.StoreKeys,
 		Cases: []SensorCase{
 			{Fault: StuckAt{Value: 40}, Expect: detects("stuck-at 40°C")},
 			{Fault: Spike{Delta: 20, Every: 3}, Expect: detects("20°C spike")},
@@ -183,14 +129,15 @@ func NewHealthSensorCampaign() *SensorCampaign {
 	}
 }
 
-// withIntegrityConfig enables the self-healing layer on a health
-// deployment: guards on every persistent surface, a fast scrub schedule
-// (so mid-run corruption is found within the run), and the forward-progress
-// watchdog.
-func withIntegrityConfig(cfg *core.Config) {
-	cfg.Integrity = true
-	cfg.ScrubInterval = 50 * simclock.Millisecond
-	cfg.WatchdogLimit = 8
+// integrityConfig enables the self-healing layer on a health deployment:
+// guards on every persistent surface, a fast scrub schedule (so mid-run
+// corruption is found within the run), and the forward-progress watchdog.
+func integrityConfig(scrub simclock.Duration) func(cfg *core.Config) {
+	return func(cfg *core.Config) {
+		cfg.Integrity = true
+		cfg.ScrubInterval = scrub
+		cfg.WatchdogLimit = 8
+	}
 }
 
 // NewHealthFlipCampaign builds the NVM soft-error campaign: random single
@@ -204,16 +151,17 @@ func withIntegrityConfig(cfg *core.Config) {
 // of that depth, so every Unrecoverable verdict carries the device's last
 // persisted events in the report.
 func NewHealthFlipCampaign(seed int64, runs int, withIntegrity bool, flightDepth int) *FlipCampaign {
+	d := newDeployer(examplespecs.Health())
 	return &FlipCampaign{
 		Build: func() (*core.Framework, error) {
-			return buildHealth(func(cfg *core.Config, _ *health.App) {
+			return d.deploy(func(cfg *core.Config) {
 				cfg.Supply = core.SupplyConfig{
 					Kind:     core.SupplyFixedDelay,
 					BudgetUJ: 800,
 					Delay:    simclock.Second,
 				}
 				if withIntegrity {
-					withIntegrityConfig(cfg)
+					integrityConfig(50 * simclock.Millisecond)(cfg)
 				}
 				if flightDepth > 0 {
 					cfg.Telemetry = true
@@ -221,31 +169,11 @@ func NewHealthFlipCampaign(seed int64, runs int, withIntegrity bool, flightDepth
 				}
 			})
 		},
-		Keys:          healthKeys,
+		Keys:          d.cfg.StoreKeys,
 		Owner:         "",
 		Runs:          runs,
 		Seed:          seed,
 		WithIntegrity: withIntegrity,
-	}
-}
-
-// NewHealthIntegrityExplorer is the exhaustive crash explorer with the
-// self-healing layer enabled: every guard CRC commits in the same selector
-// flip as its data, so a power failure after any single write must leave
-// guard and data consistent — all four oracles must stay as clean as the
-// unguarded sweep.
-func NewHealthIntegrityExplorer(seed int64, budget int) *Explorer {
-	return &Explorer{
-		Build: sharedHealthBuild(func(cfg *core.Config) {
-			cfg.Integrity = true
-			cfg.ScrubInterval = 100 * simclock.Millisecond
-			cfg.WatchdogLimit = 8
-		}),
-		Keys:      healthKeys,
-		ExactKeys: healthExactKeys,
-		Invariant: healthInvariant,
-		Seed:      seed,
-		Budget:    budget,
 	}
 }
 
@@ -258,10 +186,15 @@ func NewHealthIntegrityExplorer(seed int64, budget int) *Explorer {
 // with the telemetry flight recorder attached so unrecoverable verdicts
 // include a black-box dump.
 func NewHealthCampaign(seed int64, crashBudget, radioRuns, flipRuns int, withIntegrity bool, flightDepth int) *Campaign {
-	crash := NewHealthExplorer(seed, crashBudget)
+	// The integrity crash sweep scrubs every 100 ms: its guard CRCs commit
+	// in the same selector flip as their data, so every oracle must stay
+	// as clean as the unguarded sweep.
+	var mut func(cfg *core.Config)
 	if withIntegrity {
-		crash = NewHealthIntegrityExplorer(seed, crashBudget)
+		mut = integrityConfig(100 * simclock.Millisecond)
 	}
+	crash := NewExplorer(examplespecs.Health(), mut)
+	crash.Seed, crash.Budget = seed, crashBudget
 	return &Campaign{
 		Seed:   seed,
 		Crash:  crash,
@@ -286,67 +219,6 @@ func withSwapConfig(cfg *core.Config, link monitor.Link, corrupt func(chunk int,
 	cfg.SwapCorrupt = corrupt
 }
 
-// NewHealthSwapExplorer is the swap-atomicity crash explorer: the health
-// benchmark with a mid-run OTA update of the spec (v1 -> v2, bounds
-// loosened, FSM shape preserved), explored at single-NVM-BYTE granularity
-// across exactly the byte window the swap touched — transfer staging,
-// chunk commits, and the one-byte activation selector flip. The transfer
-// link is perfect: a lossy link would make a crashed run roll back where
-// the reference swapped, turning legitimate divergence into false oracle
-// failures (SwapCampaign owns the faulted-transfer space). The sixth
-// oracle asserts the recovered device is on exactly the old or exactly
-// the new version — never a hybrid — with a verifying image, a settled
-// transfer, and the swap landing exactly once.
-func NewHealthSwapExplorer(seed int64, budget int) *Explorer {
-	return &Explorer{
-		Build: sharedHealthBuild(func(cfg *core.Config) {
-			withSwapConfig(cfg, nil, nil)
-		}),
-		Keys:      healthKeys,
-		ExactKeys: healthExactKeys,
-		Invariant: healthInvariant,
-		Seed:      seed,
-		Budget:    budget,
-		Bytes:     true,
-		Window: func(f *core.Framework) (int64, int64, bool) {
-			return f.OTA().SwapWindow()
-		},
-		PostOracles: []string{OracleSwap},
-		PostCheck: func(f *core.Framework, ref, got Outcome) []OracleFailure {
-			mgr := f.OTA()
-			if mgr == nil {
-				return []OracleFailure{{OracleSwap, "no OTA manager on the recovered framework"}}
-			}
-			var fails []OracleFailure
-			if err := mgr.VerifyActive(); err != nil {
-				fails = append(fails, OracleFailure{OracleSwap, err.Error()})
-			}
-			v := mgr.ActiveVersion()
-			if v != 2 {
-				fails = append(fails, OracleFailure{OracleSwap,
-					fmt.Sprintf("terminal version %d, want 2 (perfect link: the update must land)", v)})
-			}
-			if iv := mgr.InstalledVersion(); iv != v {
-				fails = append(fails, OracleFailure{OracleSwap,
-					fmt.Sprintf("installed deployment v%d but active image v%d", iv, v)})
-			}
-			if mgr.TransferInFlight() {
-				fails = append(fails, OracleFailure{OracleSwap, "staged transfer still in flight at completion"})
-			}
-			st := mgr.Stats()
-			if st.Swaps != 1 || st.Rollbacks != 0 {
-				fails = append(fails, OracleFailure{OracleSwap,
-					fmt.Sprintf("%d swaps, %d rollbacks (%s); want exactly one clean swap", st.Swaps, st.Rollbacks, st.LastRollback)})
-			}
-			if st.MissedEvents != 0 {
-				fails = append(fails, OracleFailure{OracleSwap,
-					fmt.Sprintf("swap missed %d events", st.MissedEvents)})
-			}
-			return fails
-		},
-	}
-}
-
 // NewHealthSwapCampaign is the faulted-transfer reprogramming campaign:
 // chunk loss and duplication on every run, plus an in-flight corrupted
 // chunk on every third run. Loss must end in a clean rollback or a clean
@@ -354,9 +226,10 @@ func NewHealthSwapExplorer(seed int64, budget int) *Explorer {
 // flightDepth > 0 attaches the telemetry flight recorder, so any failing
 // verdict carries the device's persisted event history as a black-box dump.
 func NewHealthSwapCampaign(seed int64, runs, flightDepth int) *SwapCampaign {
+	d := newDeployer(examplespecs.Health())
 	return &SwapCampaign{
 		Build: func(link monitor.Link, corrupt func(chunk int, data []byte) []byte) (*core.Framework, error) {
-			return buildHealth(func(cfg *core.Config, _ *health.App) {
+			return d.deploy(func(cfg *core.Config) {
 				withSwapConfig(cfg, link, corrupt)
 				if flightDepth > 0 {
 					cfg.Telemetry = true
@@ -364,7 +237,7 @@ func NewHealthSwapCampaign(seed int64, runs, flightDepth int) *SwapCampaign {
 				}
 			})
 		},
-		Keys: healthKeys,
+		Keys: d.cfg.StoreKeys,
 		Invariant: func(ref, got Outcome) error {
 			// Version-agnostic: both spec revisions enforce the same sample
 			// counting; a rolled-back run finishes on v1, a swapped one on
@@ -376,37 +249,5 @@ func NewHealthSwapCampaign(seed int64, runs, flightDepth int) *SwapCampaign {
 		DropProb:     0.3,
 		DupProb:      0.2,
 		CorruptEvery: 3,
-	}
-}
-
-// NewHealthTelemetryExplorer is the exhaustive crash explorer with the
-// telemetry flight recorder attached: the recorder's NVM ring commits
-// through the same two-phase protocol as everything else, so a crash after
-// any single persistent write must leave the committed ring decodable and
-// its sequence numbers intact. The extra "flight" oracle checks exactly
-// that on every surviving run, proving the recorder itself is crash-safe
-// and never perturbs the four base oracles.
-func NewHealthTelemetryExplorer(seed int64, budget int) *Explorer {
-	return &Explorer{
-		Build: sharedHealthBuild(func(cfg *core.Config) {
-			cfg.Telemetry = true
-			cfg.FlightDepth = 32
-		}),
-		Keys:        healthKeys,
-		ExactKeys:   healthExactKeys,
-		Invariant:   healthInvariant,
-		Seed:        seed,
-		Budget:      budget,
-		PostOracles: []string{"flight"},
-		PostCheck: func(f *core.Framework, ref, got Outcome) []OracleFailure {
-			tel := f.Telemetry()
-			if tel == nil {
-				return []OracleFailure{{Oracle: "flight", Detail: "telemetry tracer missing from instrumented build"}}
-			}
-			if err := tel.VerifyFlight(); err != nil {
-				return []OracleFailure{{Oracle: "flight", Detail: err.Error()}}
-			}
-			return nil
-		},
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/core"
-	"github.com/tinysystems/artemis-go/internal/health"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/simclock"
 )
 
@@ -39,7 +39,7 @@ func TestHealthIntegrityExhaustiveCrashExploration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweep in -short mode")
 	}
-	rep, err := NewHealthIntegrityExplorer(1, 0).Run()
+	rep, err := NewExplorer(examplespecs.Health(), integrityConfig(100*simclock.Millisecond)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestHealthIntegrityExhaustiveCrashExploration(t *testing.T) {
 func TestWatchdogEndsBootLoop(t *testing.T) {
 	starved := func(watchdogLimit, maxReboots int) (*core.Framework, *core.Report) {
 		t.Helper()
-		f, err := buildHealth(func(cfg *core.Config, _ *health.App) {
+		f, err := newDeployer(examplespecs.Health()).deploy(func(cfg *core.Config) {
 			cfg.Supply = core.SupplyConfig{
 				Kind:     core.SupplyFixedDelay,
 				BudgetUJ: 5, // covers a boot replay, not bodyTemp's ADC sample

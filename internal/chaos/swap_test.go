@@ -1,13 +1,67 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/core"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/parallel"
 )
+
+// swapExplorer is the swap-atomicity crash explorer: the health benchmark
+// with a mid-run OTA update of the spec (v1 -> v2, bounds loosened, FSM
+// shape preserved), explored at single-NVM-BYTE granularity across exactly
+// the byte window the swap touched — transfer staging, chunk commits, and
+// the one-byte activation selector flip. The transfer link is perfect: a
+// lossy link would make a crashed run roll back where the reference
+// swapped, turning legitimate divergence into false oracle failures
+// (SwapCampaign owns the faulted-transfer space). The swap oracle asserts
+// the recovered device is on exactly the old or exactly the new version —
+// never a hybrid — with a verifying image, a settled transfer, and the
+// swap landing exactly once.
+func swapExplorer(seed int64, budget int) *Explorer {
+	e := NewExplorer(examplespecs.Health(), func(cfg *core.Config) { withSwapConfig(cfg, nil, nil) })
+	e.Seed, e.Budget = seed, budget
+	e.Bytes = true
+	e.Window = func(f *core.Framework) (int64, int64, bool) { return f.OTA().SwapWindow() }
+	e.PostOracles = []string{OracleSwap}
+	e.PostCheck = func(f *core.Framework, ref, got Outcome) []OracleFailure {
+		mgr := f.OTA()
+		if mgr == nil {
+			return []OracleFailure{{OracleSwap, "no OTA manager on the recovered framework"}}
+		}
+		var fails []OracleFailure
+		if err := mgr.VerifyActive(); err != nil {
+			fails = append(fails, OracleFailure{OracleSwap, err.Error()})
+		}
+		v := mgr.ActiveVersion()
+		if v != 2 {
+			fails = append(fails, OracleFailure{OracleSwap,
+				fmt.Sprintf("terminal version %d, want 2 (perfect link: the update must land)", v)})
+		}
+		if iv := mgr.InstalledVersion(); iv != v {
+			fails = append(fails, OracleFailure{OracleSwap,
+				fmt.Sprintf("installed deployment v%d but active image v%d", iv, v)})
+		}
+		if mgr.TransferInFlight() {
+			fails = append(fails, OracleFailure{OracleSwap, "staged transfer still in flight at completion"})
+		}
+		st := mgr.Stats()
+		if st.Swaps != 1 || st.Rollbacks != 0 {
+			fails = append(fails, OracleFailure{OracleSwap,
+				fmt.Sprintf("%d swaps, %d rollbacks (%s); want exactly one clean swap", st.Swaps, st.Rollbacks, st.LastRollback)})
+		}
+		if st.MissedEvents != 0 {
+			fails = append(fails, OracleFailure{OracleSwap,
+				fmt.Sprintf("swap missed %d events", st.MissedEvents)})
+		}
+		return fails
+	}
+	return e
+}
 
 // TestSwapExplorerSampled crashes the device at sampled NVM bytes inside
 // the reprogramming window — mid-chunk-commit, mid-staging, around the
@@ -15,7 +69,7 @@ import (
 // run resumes, finishes the update exactly once, and ends on a verified
 // v2 image.
 func TestSwapExplorerSampled(t *testing.T) {
-	ex := NewHealthSwapExplorer(1, 120)
+	ex := swapExplorer(1, 120)
 	ex.Workers = 4
 	rep, err := ex.Run()
 	if err != nil {
@@ -43,7 +97,7 @@ func TestSwapExplorerSampled(t *testing.T) {
 // the one-byte selector flip that IS the swap. A failure on either side of
 // that byte must recover onto exactly one version.
 func TestSwapExplorerActivationFlip(t *testing.T) {
-	ex := NewHealthSwapExplorer(1, 0)
+	ex := swapExplorer(1, 0)
 	ex.Workers = 4
 	inner := ex.Window
 	ex.Window = func(f *core.Framework) (int64, int64, bool) {
@@ -74,7 +128,7 @@ func TestSwapExplorerExhaustiveDeep(t *testing.T) {
 	if os.Getenv("ARTEMIS_DEEP_CHAOS") == "" {
 		t.Skip("exhaustive swap sweep runs in the weekly CI job; set ARTEMIS_DEEP_CHAOS=1 to run")
 	}
-	ex := NewHealthSwapExplorer(1, 0)
+	ex := swapExplorer(1, 0)
 	ex.Workers = parallel.DefaultWorkers()
 	rep, err := ex.Run()
 	if err != nil {

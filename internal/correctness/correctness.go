@@ -31,8 +31,8 @@
 // The reachability half of the formal definition — every committed
 // post-reboot state must be one a continuously-powered execution can reach
 // — needs a golden continuous run to compare against, so it lives with the
-// crash explorer (chaos.NewHealthFormalExplorer) on top of the ImageSet
-// helper here.
+// crash explorer (chaos.NewFormalExplorer, which golden-runs any example
+// case) on top of the ImageSet helper here.
 package correctness
 
 import (
@@ -413,43 +413,27 @@ func FormatHazards(hazards []Hazard) string {
 	return b.String()
 }
 
-// ImageSet is a set of committed persistent images (optionally projected),
-// the golden states a continuously-powered execution reached. The
-// reachability oracle asks whether a crashed run's committed states are
-// members.
+// ImageSet is a set of committed persistent images, the golden states a
+// continuously-powered execution reached. The reachability oracle asks
+// whether a crashed run's committed states are members.
 type ImageSet struct {
-	set  map[string]bool
-	mask []int // byte offsets zeroed before comparison (timing-dependent slots)
-	size int
+	set map[string]bool
 }
 
-// NewImageSet builds an empty set for images of the given size, projecting
-// out 8-byte slots starting at the given offsets (state that legitimately
-// depends on wall-clock timing, e.g. a counter a timeliness guard may
-// skip). The all-zero initial image is a member: a crash before the first
-// commit recovers to it.
-func NewImageSet(size int, maskOffsets []int) *ImageSet {
-	s := &ImageSet{set: map[string]bool{}, mask: maskOffsets, size: size}
+// NewImageSet builds an empty set for images of the given size. The
+// all-zero initial image is a member: a crash before the first commit
+// recovers to it.
+func NewImageSet(size int) *ImageSet {
+	s := &ImageSet{set: map[string]bool{}}
 	s.Add(make([]byte, size))
 	return s
 }
 
-func (s *ImageSet) project(img []byte) string {
-	p := make([]byte, len(img))
-	copy(p, img)
-	for _, off := range s.mask {
-		for i := 0; i < 8 && off+i < len(p); i++ {
-			p[off+i] = 0
-		}
-	}
-	return string(p)
-}
-
 // Add records one committed image as reachable.
-func (s *ImageSet) Add(img []byte) { s.set[s.project(img)] = true }
+func (s *ImageSet) Add(img []byte) { s.set[string(img)] = true }
 
-// Contains reports membership under the projection.
-func (s *ImageSet) Contains(img []byte) bool { return s.set[s.project(img)] }
+// Contains reports whether img is a recorded image.
+func (s *ImageSet) Contains(img []byte) bool { return s.set[string(img)] }
 
-// Len returns the number of distinct (projected) images.
+// Len returns the number of distinct images.
 func (s *ImageSet) Len() int { return len(s.set) }

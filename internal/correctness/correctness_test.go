@@ -269,9 +269,9 @@ func TestHealthWorkloadClean(t *testing.T) {
 	}
 }
 
-// TestImageSet covers projection semantics of the reachability helper.
+// TestImageSet covers membership semantics of the reachability helper.
 func TestImageSet(t *testing.T) {
-	s := correctness.NewImageSet(16, []int{8})
+	s := correctness.NewImageSet(16)
 	if !s.Contains(make([]byte, 16)) {
 		t.Fatal("all-zero image must be reachable")
 	}
@@ -281,12 +281,14 @@ func TestImageSet(t *testing.T) {
 		t.Fatal("unknown image must not be a member")
 	}
 	s.Add(img)
-	// A copy differing only inside the masked slot is the same state.
-	img2 := make([]byte, 16)
-	img2[0] = 1
+	if !s.Contains(append([]byte(nil), img...)) {
+		t.Fatal("an equal copy of a recorded image must be a member")
+	}
+	// Every byte counts: no slot is projected out.
+	img2 := append([]byte(nil), img...)
 	img2[12] = 0xFF
-	if !s.Contains(img2) {
-		t.Fatal("projection must ignore the masked slot")
+	if s.Contains(img2) {
+		t.Fatal("an image differing in one byte must not be a member")
 	}
 	if s.Len() != 2 {
 		t.Fatalf("len = %d, want 2", s.Len())

@@ -5,7 +5,9 @@
 // root) runs each case twice, once as deployed (compiled monitors) and once
 // with its monitor set switched to the reference interpreter, and asserts
 // byte-identical behaviour. A new example spec added here is automatically
-// held to the compiled-vs-interpreted contract.
+// held to the compiled-vs-interpreted contract, and internal/chaos sweeps it
+// with every crash oracle: a power failure after any persistent write must
+// leave its outputs and its Counters equal to the continuous run's.
 package examplespecs
 
 import (
@@ -34,18 +36,50 @@ type Case struct {
 	// OnDecision observers, swap in a pre-compiled spec, etc. before handing
 	// it to core.New.
 	Config func() (core.Config, error)
+	// Counters are the store outputs that count task executions. A power
+	// failure may neither lose nor repeat an execution, so the chaos
+	// idempotence oracle compares them with the continuous run exactly.
+	Counters []string
 }
 
 // All returns every example deployment, in stable order.
 func All() []Case {
 	return []Case{
-		{Name: "health", Config: HealthConfig},
-		{Name: "greenhouse", Config: GreenhouseConfig},
-		{Name: "camera", Config: CameraConfig},
-		{Name: "quickstart", Config: QuickstartConfig},
-		{Name: "customir", Config: CustomIRConfig},
-		{Name: "legacyspec", Config: LegacySpecConfig},
+		Health(),
+		{Name: "greenhouse", Config: GreenhouseConfig, Counters: []string{"sampleCount", "irrigations"}},
+		{Name: "camera", Config: CameraConfig, Counters: []string{"frames", "chunksMade", "chunksSent"}},
+		{Name: "quickstart", Config: QuickstartConfig, Counters: []string{"samples", "reports"}},
+		{Name: "customir", Config: CustomIRConfig, Counters: []string{"samples", "sends"}},
+		{Name: "legacyspec", Config: LegacySpecConfig, Counters: healthCounters()},
 	}
+}
+
+// Health is the paper's health-monitor benchmark case.
+func Health() Case {
+	return Case{Name: "health", Config: HealthConfig, Counters: healthCounters()}
+}
+
+// healthCounters are the health app's sample, collection and send counters.
+func healthCounters() []string { return []string{"tempCount", "micData", "accelData", "sentCount"} }
+
+// Compile deploys one configuration of c as a probe and returns the
+// monitor program the probe runs (nil for a non-ARTEMIS case). A
+// transform.Result is immutable and fits every topology-identical graph,
+// which fresh Config() calls produce by construction, so one compile serves
+// every later deployment of c. core.New builds a BuildApp case's graph on
+// the probe's own image, which goes back to the pool with it, so
+// camera-style cases compile here too.
+func Compile(c Case) (*transform.Result, error) {
+	cfg, err := c.Config()
+	if err != nil {
+		return nil, err
+	}
+	f, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Release()
+	return f.Compiled(), nil
 }
 
 // HealthConfig is the paper's health-monitor benchmark under the

@@ -146,15 +146,13 @@ func New(cfg Config) (*Engine, error) {
 		shards = devices
 	}
 	// One compiled monitor program per distinct case, shared by all its
-	// devices and steps: a transform.Result is immutable and safe to reuse
-	// across topology-identical graphs, which fresh Config() calls produce
-	// by construction.
+	// devices and steps.
 	compiled := make(map[string]*transform.Result, 8)
 	for _, m := range members {
 		if _, ok := compiled[m.Case.Name]; ok {
 			continue
 		}
-		res, err := compileCase(m.Case)
+		res, err := examplespecs.Compile(m.Case)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: case %s: %w", m.Case.Name, err)
 		}
@@ -184,23 +182,6 @@ func New(cfg Config) (*Engine, error) {
 		e.shards = append(e.shards, sh)
 	}
 	return e, nil
-}
-
-// compileCase deploys one configuration of c as a probe and returns the
-// monitor program the probe runs (nil for a non-ARTEMIS case). core.New
-// builds a BuildApp case's graph on the probe's own image, which goes back
-// to the pool with it, so camera-style cases compile here too.
-func compileCase(c examplespecs.Case) (*transform.Result, error) {
-	cfg, err := c.Config()
-	if err != nil {
-		return nil, err
-	}
-	f, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Release()
-	return f.Compiled(), nil
 }
 
 // Devices returns the fleet size.

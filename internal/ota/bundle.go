@@ -9,8 +9,9 @@
 // This is ROADMAP open item 3 — the paper's adaptability claim made
 // operational: the monitor program changes on a running intermittent
 // device without reflashing, without missing events, and with crash
-// exploration proving the swap atomic at every NVM byte
-// (chaos.NewHealthSwapExplorer).
+// exploration proving the swap atomic at every NVM byte (the swap explorer
+// in internal/chaos/swap_test.go: chaos.NewExplorer at byte granularity,
+// windowed to the swap, with a swap oracle).
 package ota
 
 import (
