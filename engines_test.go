@@ -190,9 +190,6 @@ func TestEngineEquivalenceUnderChaos(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			if !deepChaos() && c.Name != "health" && c.Name != "quickstart" && c.Name != "customir" {
-				t.Skipf("sampled tier-1 run; set ARTEMIS_DEEP_CHAOS=1 to sweep %s", c.Name)
-			}
 			// Reference run to size the crash-point space.
 			cfg, err := c.Config()
 			if err != nil {
