@@ -10,7 +10,6 @@ import (
 type device struct {
 	id   string
 	spec string
-	idx  int // registration order tiebreak for deterministic listings
 
 	// queue holds ingested events awaiting the next step (bounded by
 	// Config.QueueDepth). The stepping loop takes the whole queue when a
@@ -120,7 +119,7 @@ func (s *Server) Register(id, spec string) (DeviceState, error) {
 		return DeviceState{}, fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
 	d := &device{
-		id: id, spec: spec, idx: len(s.order), shard: -1,
+		id: id, spec: spec, shard: -1,
 		stats: deviceStats{violations: map[string]uint64{}, fsm: map[string]string{}},
 	}
 	s.devices[id] = d

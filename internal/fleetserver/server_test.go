@@ -167,6 +167,62 @@ func TestServerRegistryLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerConcurrentRegisterDeleteIngest drives the registry from four
+// goroutines while the loop reshards and steps: each registers 50 devices,
+// ingests an event into each, lists the registry, and unregisters every
+// other device. Under -race it checks the register, delete, ingest and list
+// paths against the stepping loop; every call must succeed, and the 100
+// kept devices must still be registered after Shutdown's drain step.
+func TestServerConcurrentRegisterDeleteIngest(t *testing.T) {
+	s, err := New(Config{Shards: 2, Workers: 2, StepInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	const goroutines, perGoroutine = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ids := make([]string, perGoroutine)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("c%d-%d", w, i)
+				if _, err := s.Register(ids[i], "health"); err != nil {
+					t.Errorf("register %s: %v", ids[i], err)
+					return
+				}
+			}
+			for _, id := range ids {
+				if _, err := s.Ingest([]Event{{Device: id, Kind: "start", Task: "send"}}); err != nil {
+					t.Errorf("ingest %s: %v", id, err)
+					return
+				}
+			}
+			seen := map[string]bool{}
+			for _, d := range s.Devices() {
+				if seen[d.ID] {
+					t.Errorf("device %s listed twice", d.ID)
+				}
+				seen[d.ID] = true
+			}
+			for i := 0; i < perGoroutine; i += 2 {
+				if err := s.Unregister(ids[i]); err != nil {
+					t.Errorf("unregister %s: %v", ids[i], err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.DeviceCount(); n != goroutines*perGoroutine/2 {
+		t.Fatalf("%d devices left after Shutdown, want %d", n, goroutines*perGoroutine/2)
+	}
+}
+
 // TestServerUnregisterDuringStep pins the ack path through a real mid-step
 // delete: a slow fleet step is in flight when Unregister is called, and the
 // call must block until that step finishes.
