@@ -603,35 +603,6 @@ func BenchmarkNVMRehash(b *testing.B) {
 	_ = h
 }
 
-// BenchmarkAblationThreadedMonitor measures the ImmortalThreads-style
-// continuation dispatch (one persistent program-counter write per machine
-// per event) against the commit/replay dispatch of
-// BenchmarkAblationPersistentMonitor.
-func BenchmarkAblationThreadedMonitor(b *testing.B) {
-	res, err := health.New().Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem := nvm.New(256 * 1024)
-	set, err := monitor.NewSet(mem, res)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts, err := monitor.NewThreadedSet(mem, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts.Reset()
-	evs := benchEvents(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := monitor.Event{Event: evs[i%len(evs)], Seq: uint64(i) + 1}
-		if _, err := ts.Deliver(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFleetServerSteps measures the fleet serving layer end to end:
 // one server-driven fleet step per op over 16 heterogeneous devices —
 // reshard bookkeeping, queue handoff, the engine step, and the stats

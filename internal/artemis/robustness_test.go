@@ -41,22 +41,3 @@ func TestClockJitterRobustness(t *testing.T) {
 		t.Fatalf("PathSkips = %d with 1-minute margin", st.PathSkips)
 	}
 }
-
-func TestContinuationMonitorsEndToEnd(t *testing.T) {
-	// The ImmortalThreads-style dispatch must carry the full benchmark
-	// through intermittent power with identical outcomes.
-	r := newRigOn(t, testbed{threaded: true}, fixedSupply(t, 800, 6*simclock.Minute), 36.6)
-	res, err := r.dev.Run(r.rt.Boot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("continuation run: %+v", res)
-	}
-	if st := r.rt.Stats(); st.PathSkips != 1 {
-		t.Fatalf("PathSkips = %d, want 1", st.PathSkips)
-	}
-	if r.store.Get("micData") != 1 {
-		t.Fatal("path 3 did not run")
-	}
-}

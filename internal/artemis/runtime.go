@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/tinysystems/artemis-go/internal/action"
 	"github.com/tinysystems/artemis-go/internal/device"
@@ -148,7 +149,29 @@ type Stats struct {
 	// WatchdogTrips counts forward-progress escalations: boot loops broken
 	// by the consecutive-crash counter exceeding Config.WatchdogLimit.
 	WatchdogTrips int
-	Decisions     map[action.Action]int
+	Decisions     Decisions
+}
+
+// Decisions counts arbitrated decisions per action, indexed by
+// action.Action. An array rather than a map keeps Stats a comparable value
+// that copies by assignment and costs no allocation per runtime.
+type Decisions [action.CompletePath + 1]int
+
+// String renders the non-zero counts in action order, the way fmt prints
+// the map this type replaced ("map[restartPath:2 skipPath:1]"), so reports
+// and digests that format Stats read as before.
+func (d Decisions) String() string {
+	var b strings.Builder
+	b.WriteString("map[")
+	sep := ""
+	for a, n := range d {
+		if n > 0 {
+			fmt.Fprintf(&b, "%s%v:%d", sep, action.Action(a), n)
+			sep = " "
+		}
+	}
+	b.WriteString("]")
+	return b.String()
 }
 
 // Runtime executes one application under ARTEMIS monitoring.
@@ -258,7 +281,6 @@ func New(cfg Config) (*Runtime, error) {
 		state: &controlState{c: c},
 		cur:   task.NewCursor(c, cfg.Graph, cfg.Rounds, cursorAt),
 		init:  initDone,
-		stats: Stats{Decisions: map[action.Action]int{}},
 		ctx:   task.Ctx{MCU: cfg.MCU, Store: cfg.Store},
 	}
 	for _, e := range cfg.Extras {
@@ -279,6 +301,10 @@ func New(cfg Config) (*Runtime, error) {
 // Stats returns the decision counters accumulated so far.
 func (r *Runtime) Stats() Stats { return r.stats }
 
+// SetStats replaces the decision counters. The counters live in host
+// memory, so a run resumed from a crash state takes them from it.
+func (r *Runtime) SetStats(s Stats) { r.stats = s }
+
 // Cursor returns the runtime's persistent position in the task graph.
 func (r *Runtime) Cursor() *task.Cursor { return &r.cur }
 
@@ -288,8 +314,8 @@ func (r *Runtime) Cursor() *task.Cursor { return &r.cur }
 // main loop to application completion.
 func (r *Runtime) Boot() error {
 	mcu := r.cfg.MCU
-	prev := mcu.SetComponent(device.CompRuntime)
-	defer mcu.SetComponent(prev)
+	mcu.Enter(device.CompRuntime)
+	defer mcu.Leave()
 
 	// Initial hard reset: exactly once in the application's life (§4.1).
 	if !r.init.Get() {

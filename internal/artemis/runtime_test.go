@@ -28,14 +28,10 @@ type rig struct {
 }
 
 // testbed varies the device a rig runs on. Its zero value is the paper's
-// testbed: a perfect persistent clock, the MSP430FR5994 at 1 MHz, and
-// events delivered to the monitor set itself.
+// testbed: a perfect persistent clock and the MSP430FR5994 at 1 MHz.
 type testbed struct {
 	clock *simclock.Clock
 	prof  *device.Profile
-	// threaded delivers events through the ImmortalThreads-style
-	// continuation (monitor.ThreadedSet) instead of the set itself.
-	threaded bool
 }
 
 func newRig(t *testing.T, supply energy.Supply, temp float64) *rig {
@@ -74,13 +70,7 @@ func newRigOn(t *testing.T, tb testbed, supply energy.Supply, temp float64) *rig
 	if err != nil {
 		t.Fatal(err)
 	}
-	var deployed monitor.Interface = mons
-	if tb.threaded {
-		if deployed, err = monitor.NewThreadedSet(mem, mons); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rt, err := New(Config{MCU: mcu, Graph: app.Graph, Store: store, Monitors: deployed})
+	rt, err := New(Config{MCU: mcu, Graph: app.Graph, Store: store, Monitors: mons})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package chaos
 import "testing"
 
 // explorePointAllocBudget is the allocation ceiling for one crash point of
-// the health sweep: build the deployment on a pooled image, run it to a
-// write-granularity power failure and through recovery, capture the
-// outcome, judge the four oracles and release the image. The measured
-// count is ~40. Rebuilding the health task graph per point would add ~28,
-// and concatenating committed-region names ~29.
+// the health sweep: build the deployment on a pooled image, resume it from
+// the recorded crash state, run it through recovery, capture the outcome,
+// judge the four oracles and release the image.
 const explorePointAllocBudget = 48
 
 func TestExplorePointAllocBudget(t *testing.T) {
@@ -22,25 +20,30 @@ func TestExplorePointAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec, err := f.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Release()
 	rep, err := f.Run()
 	if err != nil || !rep.Completed {
 		t.Fatalf("reference run failed: %v %+v", err, rep)
 	}
-	writes := int(f.MCU().Mem.Stats().Writes)
 	ref := capture(f, rep, e.Keys)
 	f.Release()
 
+	k := rec.Writes() / 2
 	point := func() {
-		pr, err := e.explorePoint(writes/2, ref)
+		pr, err := e.explorePoint(k, ref, rec, nil)
 		if err != nil || len(pr.Failures) != 0 {
-			t.Fatalf("crash point %d: %v %+v", writes/2, err, pr.Failures)
+			t.Fatalf("crash point %d: %v %+v", k, err, pr.Failures)
 		}
 	}
 	point() // warm the image pool and one-time lazy state before measuring
 	avg := testing.AllocsPerRun(20, point)
-	t.Logf("health crash point: %.0f allocs (budget %d)", avg, explorePointAllocBudget)
+	t.Logf("resumed health crash point: %.0f allocs (budget %d)", avg, explorePointAllocBudget)
 	if avg > explorePointAllocBudget {
-		t.Errorf("one health crash point allocates %.0f times, budget is %d — "+
+		t.Errorf("one resumed health crash point allocates %.0f times, budget is %d — "+
 			"per-point construction regressed; see docs/PERFORMANCE.md", avg, explorePointAllocBudget)
 	}
 }

@@ -162,6 +162,14 @@ func (r *ExploreReport) String() string {
 
 // Explorer enumerates power failures at NVM-write granularity against a
 // deployment built fresh for every crash point.
+//
+// The reference run is recorded (core.Framework.Checkpoint), and every
+// crash point k resumes its fresh deployment from the state the reference
+// run had right after write k, instead of running writes 1..k again. A
+// deployment Checkpoint refuses, and every point in Bytes mode, is
+// replayed instead: the fresh deployment runs from the start with a power
+// failure injected after write (or byte) k. Both reach the same state, so
+// reports do not depend on which one ran.
 type Explorer struct {
 	// Build constructs a fresh deployment. It must be deterministic: every
 	// call yields a run that performs the identical persistent write
@@ -257,6 +265,15 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 	if e.Prune && !e.Bytes {
 		mem.SetWriteObserver(func() { hashes = append(hashes, mem.Hash()) })
 	}
+	var rec *core.Recording
+	if !e.Bytes {
+		// A crash state is taken after a whole write, so byte-mode points
+		// are always replayed. Otherwise only Checkpoint's refusal, for a
+		// deployment with state it cannot copy, makes them replay.
+		if rec, err = f.Checkpoint(); err == nil {
+			defer rec.Release()
+		}
+	}
 	rep, err := f.Run()
 	mem.SetWriteObserver(nil)
 	if err != nil {
@@ -318,7 +335,7 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 	// does not depend on the worker count.
 	results, err := parallel.Map(context.Background(), schedule, workerCount(e.Workers),
 		func(_ context.Context, _ int, k int) (PointResult, error) {
-			return e.explorePoint(k, ref)
+			return e.explorePoint(k, ref, rec, hashes)
 		})
 	if err != nil {
 		return nil, err
@@ -393,47 +410,71 @@ func (e *Explorer) schedule(lo, hi int, hashes []uint64) (points []int, pruned i
 	return candidates, pruned
 }
 
-// explorePoint injects one power failure after write k and evaluates the
-// oracles on the recovered run.
-func (e *Explorer) explorePoint(k int, ref Outcome) (PointResult, error) {
-	f, err := e.Build()
+// explorePoint runs crash point k (see crashRun) and evaluates the oracles
+// on the recovered run.
+func (e *Explorer) explorePoint(k int, ref Outcome, rec *core.Recording, hashes []uint64) (PointResult, error) {
+	f, rep, pr, err := e.crashRun(k, rec, hashes)
 	if err != nil {
-		return PointResult{}, err
+		return pr, err
 	}
-	mem := f.MCU().Mem
-	pr := PointResult{Point: k}
-	clock := f.MCU().Clock
-	if e.Bytes {
-		mem.SetCrashHook(k, func() {
-			panic(device.PowerFailure{At: clock.Now()})
-		})
-	} else {
-		mem.SetWriteCrashHook(k, func() {
-			if e.Prune {
-				pr.Hash = mem.Hash()
-			}
-			panic(device.PowerFailure{At: clock.Now()})
-		})
-	}
-	rep, err := f.Run()
-	if err != nil {
-		// A run-level error after an injected crash is an atomicity
-		// violation surfaced as an application error, not a harness bug.
-		pr.Failures = append(pr.Failures, OracleFailure{OracleAtomicity, err.Error()})
-		f.Release()
-		return pr, nil
-	}
-	got := capture(f, rep, e.Keys)
-	pr.Reboots = got.Reboots
-	pr.Failures = append(pr.Failures, e.judge(ref, got)...)
-	if e.PostCheck != nil {
-		pr.Failures = append(pr.Failures, e.PostCheck(f, ref, got)...)
+	if rep != nil {
+		got := capture(f, rep, e.Keys)
+		pr.Reboots = got.Reboots
+		pr.Failures = append(pr.Failures, e.judge(ref, got)...)
+		if e.PostCheck != nil {
+			pr.Failures = append(pr.Failures, e.PostCheck(f, ref, got)...)
+		}
 	}
 	// Everything oracle-relevant is copied out of the framework; hand the
 	// NVM image back to the pool for the next point. This is what keeps an
 	// exhaustive sweep from allocating one full FRAM image per crash point.
 	f.Release()
 	return pr, nil
+}
+
+// crashRun builds a fresh deployment and runs it through a power failure
+// right after write (or, in Bytes mode, byte) k of the reference run. With
+// a recording it resumes from the recorded crash state k; hashes, when
+// pruning, are the reference run's image hashes per write. Without one it
+// replays: the deployment runs from the start and the failure is injected
+// at k. A run-level error is returned as an atomicity failure in pr with a
+// nil report; the framework is the caller's to release.
+func (e *Explorer) crashRun(k int, rec *core.Recording, hashes []uint64) (*core.Framework, *core.Report, PointResult, error) {
+	pr := PointResult{Point: k}
+	f, err := e.Build()
+	if err != nil {
+		return nil, nil, pr, err
+	}
+	var rep *core.Report
+	if rec != nil {
+		if e.Prune {
+			pr.Hash = hashes[k-1]
+		}
+		rep, err = f.Resume(rec, k)
+	} else {
+		mem := f.MCU().Mem
+		clock := f.MCU().Clock
+		if e.Bytes {
+			mem.SetCrashHook(k, func() {
+				panic(device.PowerFailure{At: clock.Now()})
+			})
+		} else {
+			mem.SetWriteCrashHook(k, func() {
+				if e.Prune {
+					pr.Hash = mem.Hash()
+				}
+				panic(device.PowerFailure{At: clock.Now()})
+			})
+		}
+		rep, err = f.Run()
+	}
+	if err != nil {
+		// A run-level error after an injected crash is an atomicity
+		// violation surfaced as an application error, not a harness bug.
+		pr.Failures = append(pr.Failures, OracleFailure{OracleAtomicity, err.Error()})
+		return f, nil, pr, nil
+	}
+	return f, rep, pr, nil
 }
 
 // judge evaluates the four recovery oracles.

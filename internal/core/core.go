@@ -264,6 +264,11 @@ type Framework struct {
 	// injected counts events delivered through InjectEvent, so external
 	// sequence numbers keep advancing past the runtime's persistent counter.
 	injected uint64
+	// started marks a framework that ran or resumed: Checkpoint and Resume
+	// need one that did neither.
+	started bool
+	// rec is the recording Checkpoint armed for the next Run.
+	rec *Recording
 }
 
 // taskRuntime is what the framework drives in every runtime: the boot entry
@@ -681,21 +686,36 @@ func (f *Framework) OnReboot(fn func(n int, off simclock.Duration)) {
 // non-termination, which is reported in the Report rather than as an error
 // — it is a measured outcome of the experiments).
 func (f *Framework) Run() (*Report, error) {
+	f.started = true
 	res, err := f.dev.Run(f.rt.Boot)
-	rep := &Report{
-		System:    f.cfg.System,
-		RunResult: res,
-		Breakdown: map[device.Component]device.Usage{
-			device.CompApp:       f.mcu.UsageOf(device.CompApp),
-			device.CompRuntime:   f.mcu.UsageOf(device.CompRuntime),
-			device.CompMonitor:   f.mcu.UsageOf(device.CompMonitor),
-			device.CompIntegrity: f.mcu.UsageOf(device.CompIntegrity),
-			device.CompTelemetry: f.mcu.UsageOf(device.CompTelemetry),
-		},
-		Footprints: map[string]int{},
-		Wear:       map[string]int64{},
+	if f.rec != nil {
+		f.mcu.Mem.StopLog()
+		f.rec = nil
 	}
+	rep, err := f.report(res, err)
+	f.Tally(rep)
+	return rep, err
+}
+
+// Tally fills rep's Breakdown, Footprints and Wear from the framework's
+// current accounting. Run's report has them; Resume's leaves them to this.
+func (f *Framework) Tally(rep *Report) {
+	rep.Breakdown = map[device.Component]device.Usage{
+		device.CompApp:       f.mcu.UsageOf(device.CompApp),
+		device.CompRuntime:   f.mcu.UsageOf(device.CompRuntime),
+		device.CompMonitor:   f.mcu.UsageOf(device.CompMonitor),
+		device.CompIntegrity: f.mcu.UsageOf(device.CompIntegrity),
+		device.CompTelemetry: f.mcu.UsageOf(device.CompTelemetry),
+	}
+	rep.Footprints = map[string]int{}
+	rep.Wear = map[string]int64{}
 	f.mcu.Mem.OwnerTotals(rep.Footprints, rep.Wear)
+}
+
+// report assembles the Report of a finished run, all but the maps Tally
+// fills.
+func (f *Framework) report(res device.RunResult, err error) (*Report, error) {
+	rep := &Report{System: f.cfg.System, RunResult: res}
 	if f.art != nil {
 		st := f.art.Stats()
 		rep.ArtemisStats = &st

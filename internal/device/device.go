@@ -90,6 +90,16 @@ type MCU struct {
 	extra     map[Component]*Usage
 	lastStats nvm.Stats
 
+	// scopes holds, innermost last, the component each open Enter scope
+	// switched away from; scopeBuf backs it so the usual depth allocates
+	// nothing. A crash state copies the stack, and Device.Resume pops it
+	// with the same SetComponent calls the power failure's unwinding makes.
+	scopes   []Component
+	scopeBuf [4]Component
+	// gen counts changes of comp and scopes, so a crash-state log can tell
+	// whether they moved since its last record without comparing them.
+	gen uint64
+
 	// failAfter, when positive, forces a power failure after that much more
 	// execution time, regardless of supply state. Experiments use it to
 	// place failures deterministically inside a specific task.
@@ -114,6 +124,7 @@ func NewMCU(clock *simclock.Clock, mem *nvm.Memory, supply energy.Supply, prof P
 		lastStats: mem.Stats(),
 	}
 	m.use = m.usage(CompApp)
+	m.scopes = m.scopeBuf[:0]
 	return m, nil
 }
 
@@ -153,17 +164,47 @@ func (m *MCU) usage(c Component) *Usage {
 }
 
 // SetComponent switches cost attribution and returns the previous component,
-// so callers can restore it: defer mcu.SetComponent(mcu.SetComponent(c)).
-// Pending FRAM traffic is flushed to the outgoing component first, so each
-// component is charged for its own memory accesses.
+// so callers can restore it. Pending FRAM traffic is flushed to the outgoing
+// component first, so each component is charged for its own memory
+// accesses. A switch that must be undone when a power failure unwinds the
+// caller is a scope: use Enter and a deferred Leave instead, so the MCU
+// knows it is open.
 func (m *MCU) SetComponent(c Component) Component {
 	prev := m.comp
 	if c != prev {
 		m.account(0, 0)
 		m.comp = c
 		m.use = m.usage(c)
+		m.gen++
 	}
 	return prev
+}
+
+// Enter opens a scope that charges c until the matching Leave, which the
+// caller defers right after Enter returns:
+//
+//	mcu.Enter(device.CompRuntime)
+//	defer mcu.Leave()
+//
+// The MCU keeps the open scopes, so a device resumed from a crash state can
+// close them as a power failure's unwinding would (see Device.Resume). A
+// brown-out inside Enter's own switch opens no scope, just as it leaves the
+// caller's deferred Leave unregistered.
+func (m *MCU) Enter(c Component) {
+	prev := m.SetComponent(c)
+	m.scopes = append(m.scopes, prev)
+	m.gen++
+}
+
+// Leave closes the innermost scope, switching back to the component that
+// was charged when it opened. The scope is closed before the switch, whose
+// flush of pending FRAM energy may itself brown out.
+func (m *MCU) Leave() {
+	n := len(m.scopes) - 1
+	prev := m.scopes[n]
+	m.scopes = m.scopes[:n]
+	m.gen++
+	m.SetComponent(prev)
 }
 
 // Component returns the component currently charged for execution.
@@ -322,6 +363,19 @@ type Device struct {
 	// brown-out while telemetry persists its own records is recovered like
 	// any other power failure.
 	Tracer *telemetry.Tracer
+
+	// run is the bookkeeping of the Run in progress, kept on the device so
+	// a crash state can copy it.
+	run runState
+}
+
+// runState is Run's bookkeeping: where the run started, for its result,
+// and the reboots so far.
+type runState struct {
+	start       simclock.Time
+	startEnergy energy.Joules
+	startActive simclock.Duration
+	reboots     int
 }
 
 // RunResult summarises one application execution.
@@ -340,18 +394,20 @@ type RunResult struct {
 // (ErrNonTermination), or it returns a non-nil application error. Volatile
 // state must live inside boot; persistent state in the MCU's nvm.Memory.
 func (d *Device) Run(boot func() error) (RunResult, error) {
-	maxReboots := d.MaxReboots
-	if maxReboots <= 0 {
-		maxReboots = 10000
+	d.run = runState{
+		start:       d.MCU.Clock.Now(),
+		startEnergy: d.MCU.Supply.Drained(),
+		startActive: d.MCU.TotalUsage().Time,
 	}
-	start := d.MCU.Clock.Now()
-	startEnergy := d.MCU.Supply.Drained()
-	startActive := d.MCU.TotalUsage().Time
-	reboots := 0
+	return d.loop(boot)
+}
+
+// loop runs boot attempts until one returns or the reboot budget runs out.
+func (d *Device) loop(boot func() error) (RunResult, error) {
 	for {
 		run := boot
 		if d.Tracer != nil {
-			n := reboots
+			n := d.run.reboots
 			run = func() error {
 				d.Tracer.Boot(n, d.MCU.Now())
 				return boot()
@@ -359,29 +415,43 @@ func (d *Device) Run(boot func() error) (RunResult, error) {
 		}
 		err, failed := d.attempt(run)
 		if !failed {
-			res := d.result(start, startEnergy, startActive, reboots)
+			res := d.result()
 			res.Completed = err == nil
 			return res, err
 		}
-		reboots++
-		if reboots > maxReboots {
-			return d.result(start, startEnergy, startActive, reboots), ErrNonTermination
-		}
-		failAt := d.MCU.Clock.Now()
-		off := d.MCU.Supply.Recharge(failAt)
-		d.MCU.Clock.PowerFailure(off)
-		if d.Tracer != nil {
-			d.Tracer.PowerFailure(failAt)
-			level := float64(d.MCU.EnergyLevel()) * 1e6
-			if math.IsInf(level, 0) || math.IsNaN(level) {
-				level = -1 // unmeasurable supply
-			}
-			d.Tracer.EnergyCharge(d.MCU.Clock.Now(), off, level)
-		}
-		if d.OnReboot != nil {
-			d.OnReboot(reboots, off)
+		if !d.reboot() {
+			return d.result(), ErrNonTermination
 		}
 	}
+}
+
+// reboot follows a power failure: it counts the reboot and, within the
+// budget, recharges the supply, advances the clock over the dark period
+// and reports the outage. It returns false once the budget is exhausted.
+func (d *Device) reboot() bool {
+	maxReboots := d.MaxReboots
+	if maxReboots <= 0 {
+		maxReboots = 10000
+	}
+	d.run.reboots++
+	if d.run.reboots > maxReboots {
+		return false
+	}
+	failAt := d.MCU.Clock.Now()
+	off := d.MCU.Supply.Recharge(failAt)
+	d.MCU.Clock.PowerFailure(off)
+	if d.Tracer != nil {
+		d.Tracer.PowerFailure(failAt)
+		level := float64(d.MCU.EnergyLevel()) * 1e6
+		if math.IsInf(level, 0) || math.IsNaN(level) {
+			level = -1 // unmeasurable supply
+		}
+		d.Tracer.EnergyCharge(d.MCU.Clock.Now(), off, level)
+	}
+	if d.OnReboot != nil {
+		d.OnReboot(d.run.reboots, off)
+	}
+	return true
 }
 
 // attempt invokes boot once, converting a PowerFailure panic into
@@ -398,11 +468,11 @@ func (d *Device) attempt(boot func() error) (err error, failed bool) {
 	return boot(), false
 }
 
-func (d *Device) result(start simclock.Time, startEnergy energy.Joules, startActive simclock.Duration, reboots int) RunResult {
+func (d *Device) result() RunResult {
 	return RunResult{
-		Reboots: reboots,
-		Elapsed: d.MCU.Clock.Now().Sub(start),
-		Active:  d.MCU.TotalUsage().Time - startActive,
-		Energy:  d.MCU.Supply.Drained() - startEnergy,
+		Reboots: d.run.reboots,
+		Elapsed: d.MCU.Clock.Now().Sub(d.run.start),
+		Active:  d.MCU.TotalUsage().Time - d.run.startActive,
+		Energy:  d.MCU.Supply.Drained() - d.run.startEnergy,
 	}
 }

@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,7 @@ func TestProfileValidate(t *testing.T) {
 		t.Error("negative active power accepted")
 	}
 	p = MSP430FR5994()
+	p.Peripherals = maps.Clone(p.Peripherals) // the stock table is shared
 	p.Peripherals["bad"] = PeripheralOp{Latency: -1}
 	if p.Validate() == nil {
 		t.Error("negative peripheral latency accepted")

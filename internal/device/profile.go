@@ -51,13 +51,36 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
+// msp430Peripherals is the peripheral cost table of every MSP430FR5994
+// profile. It is shared, not rebuilt per call: every deployment takes a
+// profile, and the simulator only reads the table. Callers must not
+// modify a profile's Peripherals map in place; clone it first.
+var msp430Peripherals = map[string]PeripheralOp{
+	// Internal ADC temperature read: cheap and fast.
+	"adc": {Latency: 1 * simclock.Millisecond, Energy: energy.Microjoules(5)},
+	// Accelerometer burst sampling over SPI: the most power-hungry
+	// sensing operation in the benchmark (§5.1, path #2).
+	"accel": {Latency: 40 * simclock.Millisecond, Energy: energy.Microjoules(420)},
+	// Microphone capture for cough detection.
+	"mic": {Latency: 20 * simclock.Millisecond, Energy: energy.Microjoules(180)},
+	// BLE 5.0 transmission: expensive, like the paper's send task.
+	"ble": {Latency: 50 * simclock.Millisecond, Energy: energy.Microjoules(520)},
+	// PIR motion detector: near-free wake-up trigger.
+	"pir": {Latency: 500 * simclock.Microsecond, Energy: energy.Microjoules(2)},
+	// Greyscale camera capture (Camaroptera-class): the most
+	// expensive single operation any app in this repository performs.
+	"cam": {Latency: 90 * simclock.Millisecond, Energy: energy.Microjoules(950)},
+}
+
 // MSP430FR5994 returns the cost model used throughout the evaluation: a
 // 1 MHz MSP430FR5994 (the paper's platform) with the Thunderboard EFR32BG22
 // sensor suite of the wearable health application. The constants are
 // order-of-magnitude calibrations from the MSP430FR59xx datasheet
 // (~118 µA/MHz active at 3 V) and typical sensor/BLE energy figures; the
 // evaluation depends on their relative magnitudes (accel and BLE transmission
-// are the expensive operations — §5.1), not their absolute values.
+// are the expensive operations — §5.1), not their absolute values. The
+// Peripherals map is shared by every returned profile (see
+// msp430Peripherals).
 func MSP430FR5994() Profile {
 	return Profile{
 		Name:        "MSP430FR5994@1MHz",
@@ -68,22 +91,7 @@ func MSP430FR5994() Profile {
 		// per-byte premium over core power.
 		FRAMReadPerByte:  energy.Joules(0.3e-9),
 		FRAMWritePerByte: energy.Joules(1.0e-9),
-		Peripherals: map[string]PeripheralOp{
-			// Internal ADC temperature read: cheap and fast.
-			"adc": {Latency: 1 * simclock.Millisecond, Energy: energy.Microjoules(5)},
-			// Accelerometer burst sampling over SPI: the most power-hungry
-			// sensing operation in the benchmark (§5.1, path #2).
-			"accel": {Latency: 40 * simclock.Millisecond, Energy: energy.Microjoules(420)},
-			// Microphone capture for cough detection.
-			"mic": {Latency: 20 * simclock.Millisecond, Energy: energy.Microjoules(180)},
-			// BLE 5.0 transmission: expensive, like the paper's send task.
-			"ble": {Latency: 50 * simclock.Millisecond, Energy: energy.Microjoules(520)},
-			// PIR motion detector: near-free wake-up trigger.
-			"pir": {Latency: 500 * simclock.Microsecond, Energy: energy.Microjoules(2)},
-			// Greyscale camera capture (Camaroptera-class): the most
-			// expensive single operation any app in this repository performs.
-			"cam": {Latency: 90 * simclock.Millisecond, Energy: energy.Microjoules(950)},
-		},
+		Peripherals:      msp430Peripherals,
 	}
 }
 

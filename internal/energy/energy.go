@@ -385,3 +385,46 @@ func (s *HarvestedSupply) Remaining() Joules { return s.Cap.Usable() }
 
 // Failures returns the number of brown-outs so far.
 func (s *HarvestedSupply) Failures() int { return s.failures }
+
+// State is a supply's state: what a crash-state checkpoint copies to resume
+// a run on another supply of the same configuration. Level is the
+// fixed-delay supply's remaining energy in joules or the capacitor voltage
+// of a harvested supply; a continuous supply has only Drained.
+type State struct {
+	Level    float64
+	Drained  Joules
+	Failures int
+}
+
+// Snapshot returns the supply's state. ok is false for a supply whose state
+// cannot be copied: one this package does not define, or a harvested supply
+// whose harvester draws from a random source (BurstHarvester).
+func Snapshot(s Supply) (st State, ok bool) {
+	switch s := s.(type) {
+	case *Continuous:
+		return State{Drained: s.drained}, true
+	case *FixedDelaySupply:
+		return State{Level: float64(s.remaining), Drained: s.drained, Failures: s.failures}, true
+	case *HarvestedSupply:
+		switch s.Harv.(type) {
+		case ConstantHarvester, *TraceHarvester:
+			return State{Level: s.Cap.v, Drained: s.drained, Failures: s.failures}, true
+		}
+	}
+	return State{}, false
+}
+
+// Restore sets a supply to a state Snapshot returned for a supply of the
+// same kind. It panics on a supply Snapshot cannot copy.
+func Restore(s Supply, st State) {
+	switch s := s.(type) {
+	case *Continuous:
+		s.drained = st.Drained
+	case *FixedDelaySupply:
+		s.remaining, s.drained, s.failures = Joules(st.Level), st.Drained, st.Failures
+	case *HarvestedSupply:
+		s.Cap.v, s.drained, s.failures = st.Level, st.Drained, st.Failures
+	default:
+		panic(fmt.Sprintf("energy: cannot restore the state of a %T", s))
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tinysystems/artemis-go/internal/action"
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/fleet"
@@ -296,7 +297,7 @@ func (s *Server) postRun(index int, name string, f *core.Framework, rep *core.Re
 	if st := rep.ArtemisStats; st != nil {
 		for a, n := range st.Decisions {
 			if n > 0 {
-				res.verdicts[a.String()] += uint64(n)
+				res.verdicts[action.Action(a).String()] += uint64(n)
 			}
 		}
 	}

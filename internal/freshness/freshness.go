@@ -176,6 +176,10 @@ func New(cfg Config) (*Runtime, error) {
 // Stats returns the enforcement counters.
 func (r *Runtime) Stats() Stats { return r.stats }
 
+// SetStats replaces the enforcement counters. The counters live in host
+// memory, so a run resumed from a crash state takes them from it.
+func (r *Runtime) SetStats(s Stats) { r.stats = s }
+
 // Bounds returns the enforced bound set.
 func (r *Runtime) Bounds() []Bound { return append([]Bound(nil), r.cfg.Bounds...) }
 
@@ -185,8 +189,8 @@ func (r *Runtime) Cursor() *task.Cursor { return &r.cur }
 // Boot is the runtime entry point, re-invoked on every power-up.
 func (r *Runtime) Boot() error {
 	mcu := r.cfg.MCU
-	prev := mcu.SetComponent(device.CompRuntime)
-	defer mcu.SetComponent(prev)
+	mcu.Enter(device.CompRuntime)
+	defer mcu.Leave()
 
 	if !r.init.Get() {
 		r.cur.Reset()

@@ -123,8 +123,8 @@ func (g *Guard) Class() Class { return g.class }
 // into the CRC region, so the group's selector flip publishes both at once.
 func (g *Guard) stageCRC() {
 	mcu := g.mgr.mcu
-	prev := mcu.SetComponent(device.CompIntegrity)
-	defer mcu.SetComponent(prev)
+	mcu.Enter(device.CompIntegrity)
+	defer mcu.Leave()
 	mcu.Exec(checkBaseCycles + crcCyclesPerByte*int64(len(g.buf)))
 	g.data.Read(0, g.buf)
 	g.crc.WriteUint64(0, uint64(crc32.ChecksumIEEE(g.buf)))
@@ -283,8 +283,8 @@ func (m *Manager) clustersNow() []*cluster {
 // verifyAll checks every cluster under the integrity component so the cost
 // lands in the right row of the energy breakdown.
 func (m *Manager) verifyAll() {
-	prev := m.mcu.SetComponent(device.CompIntegrity)
-	defer m.mcu.SetComponent(prev)
+	m.mcu.Enter(device.CompIntegrity)
+	defer m.mcu.Leave()
 	for _, c := range m.clustersNow() {
 		m.verifyCluster(c)
 	}

@@ -197,14 +197,18 @@ func edgeKey(t, dp string) string { return t + "<-" + dp }
 // Stats returns the decision counters.
 func (r *Runtime) Stats() Stats { return r.stats }
 
+// SetStats replaces the decision counters. The counters live in host
+// memory, so a run resumed from a crash state takes them from it.
+func (r *Runtime) SetStats(s Stats) { r.stats = s }
+
 // Cursor returns the runtime's persistent position in the task graph.
 func (r *Runtime) Cursor() *task.Cursor { return &r.cur }
 
 // Boot is the runtime entry point, re-invoked on every power-up.
 func (r *Runtime) Boot() error {
 	mcu := r.cfg.MCU
-	prev := mcu.SetComponent(device.CompRuntime)
-	defer mcu.SetComponent(prev)
+	mcu.Enter(device.CompRuntime)
+	defer mcu.Leave()
 
 	if !r.init.Get() {
 		r.cur.Reset()

@@ -192,7 +192,7 @@ func (m *Monitor) Engine() string {
 
 // SetTracer attaches a telemetry tracer to every monitor in the set, which
 // then emits MonitorTransition and PropertyFail events from Deliver. All
-// deployment styles (local, threaded, remote) funnel through the same
+// deployment styles (local and remote) funnel through the same
 // Monitor instances, so this covers them uniformly. A nil tracer disables
 // emission.
 func (s *Set) SetTracer(t *telemetry.Tracer) {

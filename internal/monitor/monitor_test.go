@@ -474,119 +474,6 @@ func TestRemoteDeployment(t *testing.T) {
 	remote.Rollback() // no-op pass-through must not panic
 }
 
-func newThreaded(t *testing.T, mem *nvm.Memory, src string) *ThreadedSet {
-	t.Helper()
-	res, err := transform.Compile(spec.MustParse(src), transform.Options{
-		Graph:    testGraph(t),
-		DataVars: []string{"avgTemp"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := NewSet(mem, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := NewThreadedSet(mem, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts.Reset()
-	return ts
-}
-
-func TestThreadedSetMatchesSet(t *testing.T) {
-	src := `
-accel { maxTries: 3 onFail: skipPath; }
-send { maxDuration: 100ms onFail: skipTask; }
-calcAvg { collect: 2 dpTask: bodyTemp onFail: restartPath; }
-`
-	plain := compileSet(t, nvm.New(128*1024), src)
-	threaded := newThreaded(t, nvm.New(128*1024), src)
-
-	tasks := []string{"accel", "send", "bodyTemp", "calcAvg"}
-	for i := 0; i < 60; i++ {
-		kind := ir.EvStart
-		if i%2 == 1 {
-			kind = ir.EvEnd
-		}
-		ev := Event{
-			Seq: uint64(i) + 1,
-			Event: ir.Event{
-				Kind: kind,
-				Task: tasks[i%len(tasks)],
-				Time: simclock.Time(simclock.Duration(i) * simclock.Second),
-				Path: 1 + i%2,
-			},
-		}
-		a, err := plain.Deliver(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := threaded.Deliver(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("event %d: %v vs %v", i, a, b)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("event %d verdict %d: %v vs %v", i, j, a[j], b[j])
-			}
-		}
-	}
-}
-
-func TestThreadedSetCrashMidPassRecovers(t *testing.T) {
-	// Crash during the dispatch pass at assorted write offsets; recovery
-	// (Rollback + re-delivery of the same event) must converge to the same
-	// configuration as an uninterrupted pass.
-	for point := 1; point < 600; point += 13 {
-		mem := nvm.New(128 * 1024)
-		ts := newThreaded(t, mem, `accel { maxTries: 2 onFail: skipPath; }
-send { maxDuration: 100ms onFail: skipTask; }`)
-		ts.Deliver(startEv(1, "accel", simclock.Second, 2))
-
-		ev := startEv(2, "accel", 2*simclock.Second, 2)
-		mem.SetCrashHook(point, func() { panic(crash{}) })
-		crashed := crashing(func() { ts.Deliver(ev) })
-		mem.SetCrashHook(0, nil)
-
-		ts.Rollback()
-		fs, err := ts.Deliver(ev)
-		if err != nil {
-			t.Fatalf("point %d: %v", point, err)
-		}
-		if len(fs) != 0 {
-			t.Fatalf("point %d: failures %v", point, fs)
-		}
-		m := ts.Monitor("maxTries_accel")
-		if v, _ := m.VarValue("i"); v.I != 2 {
-			t.Fatalf("point %d (crashed=%v): i = %v, want 2", point, crashed, v)
-		}
-		if !crashed {
-			break
-		}
-	}
-}
-
-func TestThreadedSetResetPathAndHostMachines(t *testing.T) {
-	mem := nvm.New(128 * 1024)
-	ts := newThreaded(t, mem, `accel { maxTries: 5 onFail: skipPath; }`)
-	if ts.HostMachines() != 1 {
-		t.Fatalf("HostMachines = %d", ts.HostMachines())
-	}
-	ts.Deliver(startEv(1, "accel", simclock.Second, 2))
-	ts.ResetPath(2)
-	if v, _ := ts.Monitor("maxTries_accel").VarValue("i"); v.I != 0 {
-		t.Fatalf("i = %v after ResetPath", v)
-	}
-	if ts.Set() == nil || ts.String() == "" {
-		t.Fatal("accessors broken")
-	}
-}
-
 func TestVerdictOverflowRejected(t *testing.T) {
 	// A machine emitting more failures per event than the persistent
 	// verdict slots can hold must surface an error, not corrupt state.

@@ -94,6 +94,11 @@ type Memory struct {
 	// with the affected offset and bytes. Correctness trackers use it to
 	// build per-task read/write sets over the persistent image.
 	access func(op AccessOp, off int, p []byte)
+	// log, when non-nil, records every completed write (see WriteLog). Like
+	// the observers it disables the one-pass commit, so every write of a
+	// logged run goes through the per-op path that logs it.
+	log *WriteLog
+
 	// accessBuf is the reusable staging slice write accesses are reported
 	// through: copying p here keeps callers' stack-built buffers from
 	// escaping to the heap just because an observer *could* be installed.
@@ -246,6 +251,7 @@ func (m *Memory) reset() {
 	m.writeCrashAfter, m.writeCrashHook = 0, nil
 	m.observer = nil
 	m.access = nil
+	m.log = nil
 	m.released = false
 }
 
@@ -305,6 +311,9 @@ func (m *Memory) SetWriteObserver(fn func()) { m.observer = fn }
 // follow an execution across power failures.
 func (m *Memory) SetAccessObserver(fn func(op AccessOp, off int, p []byte)) { m.access = fn }
 
+// HasAccessObserver reports whether an access observer is installed.
+func (m *Memory) HasAccessObserver() bool { return m.access != nil }
+
 // Reboot models a power-cycle as seen by the FRAM: all data is retained
 // (the image keeps its length), but the allocator restarts from zero
 // because the next boot re-runs the same allocation sequence (on real
@@ -342,6 +351,9 @@ func (m *Memory) Alloc(owner, name string, size int) (*Region, error) {
 func (m *Memory) allocRegion(owner, name, suffix string, size int) (Region, error) {
 	if size <= 0 {
 		return Region{}, fmt.Errorf("nvm: non-positive allocation %d for %s/%s%s", size, owner, name, suffix)
+	}
+	if m.log != nil {
+		panic(fmt.Sprintf("nvm: allocation of %s/%s%s while a write log records", owner, name, suffix))
 	}
 	if m.next+size > m.size {
 		return Region{}, fmt.Errorf("nvm: out of memory allocating %d bytes for %s/%s%s (used %d of %d)",
@@ -476,7 +488,7 @@ func (m *Memory) readByte(off int) byte {
 // the commit path. Any armed byte-crash hook falls back to the general
 // tearable loop so countdown semantics stay in one place.
 func (m *Memory) writeByte(idx, off int, b byte) {
-	if m.access != nil || m.crashAfter > 0 {
+	if m.access != nil || m.crashAfter > 0 || m.log != nil {
 		var buf [1]byte
 		buf[0] = b
 		m.write(idx, off, buf[:])
@@ -518,6 +530,9 @@ func (m *Memory) write(idx, off int, p []byte) {
 		m.stale = true
 		m.stats.BytesWritten += int64(len(p))
 	}
+	if m.log != nil {
+		m.logWrite(idx, off, p, len(p))
+	}
 	if m.writeCrashAfter > 0 {
 		m.writeCrashAfter--
 		if m.writeCrashAfter == 0 && m.writeCrashHook != nil {
@@ -552,6 +567,15 @@ func (m *Memory) writeRanged(idx, off int, p []byte, lo, hi int) {
 	} else {
 		m.storeRanged(off, p, lo, hi)
 		m.stats.BytesWritten += int64(len(p))
+	}
+	if m.log != nil {
+		switch {
+		case m.crashAfter > 0:
+			lo, hi = 0, len(p) // the tearable loop stored every byte
+		case lo >= hi:
+			lo, hi = 0, 0 // nothing differed, nothing was stored
+		}
+		m.logWrite(idx, off+lo, p[lo:hi], len(p))
 	}
 	if m.writeCrashAfter > 0 {
 		m.writeCrashAfter--
@@ -1288,11 +1312,12 @@ func (c *Committed) synced(t int) {
 }
 
 // quiet reports whether the next ops write operations can fire no hook: no
-// access or write observer is installed, no byte-crash countdown is armed,
-// and an armed write-crash countdown outlasts them. A commit that is quiet
-// takes the one-pass commitQuiet instead of the per-op path.
+// access or write observer or write log is installed, no byte-crash
+// countdown is armed, and an armed write-crash countdown outlasts them. A
+// commit that is quiet takes the one-pass commitQuiet instead of the
+// per-op path.
 func (m *Memory) quiet(ops int) bool {
-	return m.access == nil && m.observer == nil && m.crashAfter <= 0 &&
+	return m.access == nil && m.observer == nil && m.log == nil && m.crashAfter <= 0 &&
 		(m.writeCrashAfter <= 0 || m.writeCrashAfter > ops)
 }
 

@@ -337,8 +337,8 @@ func (m *Manager) AtBoundary(now simclock.Time) []ir.Failure {
 	if m.pending == nil || m.lastSeq < m.pendingAt {
 		return nil
 	}
-	prev := m.mcu.SetComponent(device.CompMonitor)
-	defer m.mcu.SetComponent(prev)
+	m.mcu.Enter(device.CompMonitor)
+	defer m.mcu.Leave()
 
 	if m.windowLo == 0 {
 		m.windowLo = m.mem.Stats().BytesWritten

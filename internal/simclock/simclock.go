@@ -144,6 +144,28 @@ func (c *Clock) OffTime() Duration { return c.offTime }
 // Reboots returns the number of power failures recorded so far.
 func (c *Clock) Reboots() int { return c.reboots }
 
+// State is a clock's reading and its accounting: what a crash-state
+// checkpoint copies to resume a run on another clock.
+type State struct {
+	Now     Time
+	OnTime  Duration
+	OffTime Duration
+	Reboots int
+}
+
+// State returns the clock's reading and accounting. ok is false for a
+// clock whose off-period jitter draws from a random source: the source's
+// position cannot be copied, so neither can the clock.
+func (c *Clock) State() (s State, ok bool) {
+	return State{Now: c.now, OnTime: c.onTime, OffTime: c.offTime, Reboots: c.reboots},
+		c.OffJitterPPM == 0 || c.Rand == nil
+}
+
+// Restore sets the clock's reading and accounting to s.
+func (c *Clock) Restore(s State) {
+	c.now, c.onTime, c.offTime, c.reboots = s.Now, s.OnTime, s.OffTime, s.Reboots
+}
+
 // Reset returns the clock to the first-boot state. Only experiments use
 // this; a real persistent clock is never reset.
 func (c *Clock) Reset() {

@@ -367,6 +367,44 @@ func (t *Tracer) CommitFlips() uint64 {
 	return t.commitFlips
 }
 
+// State is the tracer's host-side position: the lengths of its event log,
+// its pending flight batch and its name table, and its counters. The log,
+// the batch and the table only grow or empty, so a position in a run's
+// tracer names their contents at that instant (see Restore).
+type State struct {
+	Events, Pending, Names int
+	Seq, CommitFlips       uint64
+}
+
+// State returns the tracer's current position (the zero State for a nil
+// tracer).
+func (t *Tracer) State() State {
+	if t == nil {
+		return State{}
+	}
+	return State{Events: len(t.events), Pending: len(t.pending), Names: len(t.names),
+		Seq: t.seq, CommitFlips: t.commitFlips}
+}
+
+// Restore puts t at position s of the tracer from, which recorded a run of
+// the same deployment at least as far: t's event log, pending flight batch
+// and name table become from's at s. The pending batch is always the tail
+// of the log (emit appends to both; flushes and power failures empty it),
+// so s's lengths determine all three. The flight ring itself is in FRAM.
+func (t *Tracer) Restore(from *Tracer, s State) {
+	if t == nil {
+		return
+	}
+	t.events = append(t.events[:0], from.events[:s.Events]...)
+	t.pending = append(t.pending[:0], from.events[s.Events-s.Pending:s.Events]...)
+	t.names = append(t.names[:0], from.names[:s.Names]...)
+	clear(t.nameIdx)
+	for i, n := range t.names {
+		t.nameIdx[n] = int32(i)
+	}
+	t.seq, t.commitFlips = s.Seq, s.CommitFlips
+}
+
 // Events returns a copy of the volatile event log.
 func (t *Tracer) Events() []Event {
 	if t == nil {
