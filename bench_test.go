@@ -416,7 +416,7 @@ func BenchmarkFlipCampaign(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				camp := chaos.NewHealthFlipCampaign(5, 24, false, 0)
+				camp := chaos.NewFlipCampaign(examplespecs.Health(), 5, 24, false, 0)
 				camp.Workers = w
 				if _, err := camp.Run(); err != nil {
 					b.Fatal(err)

@@ -39,6 +39,7 @@ import (
 	"github.com/tinysystems/artemis-go/internal/chaos"
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/device"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/fleet"
 	"github.com/tinysystems/artemis-go/internal/freshness"
 	"github.com/tinysystems/artemis-go/internal/health"
@@ -470,30 +471,16 @@ func writeFile(path string, emit func(io.Writer) error) error {
 	return file.Close()
 }
 
-// writeChaosTelemetry runs one instrumented health deployment on the flip
-// campaign's intermittent supply (800 µJ boots, 1 s recharge) and exports
-// its artifacts. Serial and RNG-free, so the output never depends on the
-// campaign's -workers fan-out.
+// writeChaosTelemetry runs one deployment of the flip campaign (800 µJ
+// boots, 1 s recharge, the integrity layer as the campaign runs it),
+// instrumented with a flight recorder, and exports its artifacts. Serial
+// and RNG-free, so the output never depends on the campaign's -workers
+// fan-out.
 func writeChaosTelemetry(tracePath, metricsPath string, flightDepth int, withIntegrity bool) error {
 	if flightDepth == 0 {
 		flightDepth = 64
 	}
-	app := health.New()
-	cfg := core.Config{
-		System:      core.Artemis,
-		Graph:       app.Graph,
-		StoreKeys:   health.Keys(),
-		SpecSource:  health.SpecSource,
-		Supply:      core.SupplyConfig{Kind: core.SupplyFixedDelay, BudgetUJ: 800, Delay: simclock.Second},
-		Telemetry:   true,
-		FlightDepth: flightDepth,
-	}
-	if withIntegrity {
-		cfg.Integrity = true
-		cfg.ScrubInterval = 50 * simclock.Millisecond
-		cfg.WatchdogLimit = 8
-	}
-	f, err := core.New(cfg)
+	f, err := chaos.NewFlipCampaign(examplespecs.Health(), 0, 1, withIntegrity, flightDepth).Build()
 	if err != nil {
 		return err
 	}

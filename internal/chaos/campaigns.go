@@ -7,9 +7,11 @@ import (
 	"strings"
 
 	"github.com/tinysystems/artemis-go/internal/core"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/integrity"
 	"github.com/tinysystems/artemis-go/internal/monitor"
 	"github.com/tinysystems/artemis-go/internal/parallel"
+	"github.com/tinysystems/artemis-go/internal/simclock"
 	"github.com/tinysystems/artemis-go/internal/task"
 )
 
@@ -22,11 +24,9 @@ type RadioCampaign struct {
 	// enable remote monitors.
 	Build func(link monitor.Link) (*core.Framework, error)
 
-	// Keys are the store outputs captured into each Outcome.
+	// Keys are the store outputs captured into each Outcome. Every one
+	// must equal the perfect-link reference after any lossy run.
 	Keys []string
-
-	// Invariant checks a lossy run against the perfect-link reference.
-	Invariant func(ref, got Outcome) error
 
 	// Runs is how many seeded lossy runs to perform (default 5).
 	Runs int
@@ -81,6 +81,28 @@ func (r *RadioReport) String() string {
 		}
 	}
 	return b.String()
+}
+
+// NewRadioCampaign builds the lossy-radio campaign for one example case on
+// continuous power: its monitors run remote over a link that drops 30% and
+// duplicates 20% of exchanges. Delivery loss must degrade to local
+// evaluation, never lose or double-count an event, so every store output
+// must equal the perfect-link run's.
+func NewRadioCampaign(c examplespecs.Case, seed int64, runs int) *RadioCampaign {
+	d := examplespecs.NewDeployer(c)
+	return &RadioCampaign{
+		Build: func(link monitor.Link) (*core.Framework, error) {
+			return d.Deploy(continuous(func(cfg *core.Config) {
+				cfg.RemoteMonitors = true
+				cfg.RadioLink = link
+			}))
+		},
+		Keys:     storeKeys(d),
+		Runs:     runs,
+		Seed:     seed,
+		DropProb: 0.3,
+		DupProb:  0.2,
+	}
 }
 
 // Run executes the campaign: one perfect-link reference, then Runs lossy
@@ -138,12 +160,7 @@ func (c *RadioCampaign) Run() (*RadioReport, error) {
 			default:
 				res.Completed = true
 				res.Reboots = rep.Reboots
-				got := capture(f, rep, c.Keys)
-				if c.Invariant != nil {
-					if ierr := c.Invariant(ref, got); ierr != nil {
-						res.Failure = ierr.Error()
-					}
-				}
+				res.Failure = diverged(c.Keys, ref, capture(f, rep, c.Keys))
 			}
 			return res, nil
 		})
@@ -269,9 +286,9 @@ func (c *SensorCampaign) Run() (*SensorReport, error) {
 // uncontrolled panic counts as a campaign failure.
 type FlipCampaign struct {
 	Build func() (*core.Framework, error)
-	Keys  []string
-	// Owner restricts flips to one owner's allocations ("" = any).
-	Owner string
+	// Keys are the store outputs a masked flip leaves equal to the
+	// reference.
+	Keys []string
 	// Runs is how many flip runs to perform (default 5).
 	Runs int
 	Seed int64
@@ -327,6 +344,42 @@ func (r *FlipReport) String() string {
 			strings.ReplaceAll(d, "\n  ", "\n              "))
 	}
 	return b.String()
+}
+
+// NewFlipCampaign builds the NVM soft-error campaign for one example case:
+// random single bit flips into any owner's persistent allocations mid-run,
+// on an intermittent supply (800 µJ boots, 1 s recharge) — a flipped FRAM
+// bit only becomes visible when a reboot reloads the committed image, so
+// the run must actually reboot. The runtime must never crash uncontrolled,
+// with or without the integrity layer; with it, flips that land in a
+// committed image are repaired from the shadow (Recovered) or flagged
+// beyond repair (Unrecoverable). flightDepth > 0 additionally enables
+// telemetry with an NVM flight recorder of that depth, so every
+// Unrecoverable verdict carries the device's last persisted events in the
+// report.
+func NewFlipCampaign(c examplespecs.Case, seed int64, runs int, withIntegrity bool, flightDepth int) *FlipCampaign {
+	d := examplespecs.NewDeployer(c)
+	adjust := func(cfg *core.Config) {
+		cfg.Supply = core.SupplyConfig{
+			Kind:     core.SupplyFixedDelay,
+			BudgetUJ: 800,
+			Delay:    simclock.Second,
+		}
+		if withIntegrity {
+			integrityConfig(50 * simclock.Millisecond)(cfg)
+		}
+		if flightDepth > 0 {
+			cfg.Telemetry = true
+			cfg.FlightDepth = flightDepth
+		}
+	}
+	return &FlipCampaign{
+		Build:         func() (*core.Framework, error) { return d.Deploy(adjust) },
+		Keys:          storeKeys(d),
+		Runs:          runs,
+		Seed:          seed,
+		WithIntegrity: withIntegrity,
+	}
 }
 
 // Run executes the campaign: one clean reference run to size the write
@@ -390,7 +443,7 @@ func (c *FlipCampaign) Run() (*FlipReport, error) {
 			mem.SetWriteObserver(func() {
 				armed--
 				if armed == 0 {
-					if a, off, bit, ok := flipper.Flip(c.Owner); ok {
+					if a, off, bit, ok := flipper.Flip(); ok {
 						where = fmt.Sprintf("%s/%s byte %d bit %d after write %d", a.Owner, a.Name, off-a.Off, bit, d.point)
 					}
 				}
@@ -419,14 +472,7 @@ func (c *FlipCampaign) Run() (*FlipReport, error) {
 				// The layer repaired the flip and the run finished normally.
 				v.recov = true
 			default:
-				got := capture(f, rep, c.Keys)
-				v.masked = true
-				for _, k := range c.Keys {
-					if got.Outputs[k] != ref.Outputs[k] {
-						v.masked = false
-						break
-					}
-				}
+				v.masked = diverged(c.Keys, ref, capture(f, rep, c.Keys)) == ""
 			}
 			return v, nil
 		})

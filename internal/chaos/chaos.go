@@ -91,11 +91,11 @@ func (r *Report) String() string {
 // Campaign bundles the fault families to run against one deployment. Nil
 // members are skipped.
 type Campaign struct {
+	// Seed labels the report; every member is built with its own seed.
 	Seed int64
-	// Workers is propagated to members whose own Workers is zero, like
-	// Seed: each family fans its independent runs across this many
-	// goroutines. 0 or 1 runs everything serially. Reports are identical
-	// at any worker count.
+	// Workers is propagated to members whose own Workers is zero: each
+	// family fans its independent runs across this many goroutines. 0 or 1
+	// runs everything serially. Reports are identical at any worker count.
 	Workers int
 	Crash   *Explorer
 	Radio   *RadioCampaign
@@ -105,14 +105,11 @@ type Campaign struct {
 }
 
 // Run executes every enabled fault family and aggregates the reports.
-// Campaign members inherit the campaign seed (and worker count) when
-// their own is zero.
+// Campaign members inherit the campaign's worker count when their own is
+// zero.
 func (c *Campaign) Run() (*Report, error) {
 	rep := &Report{Seed: c.Seed}
 	if c.Crash != nil {
-		if c.Crash.Seed == 0 {
-			c.Crash.Seed = c.Seed
-		}
 		if c.Crash.Workers == 0 {
 			c.Crash.Workers = c.Workers
 		}
@@ -123,9 +120,6 @@ func (c *Campaign) Run() (*Report, error) {
 		rep.Crash = cr
 	}
 	if c.Radio != nil {
-		if c.Radio.Seed == 0 {
-			c.Radio.Seed = c.Seed
-		}
 		if c.Radio.Workers == 0 {
 			c.Radio.Workers = c.Workers
 		}
@@ -146,9 +140,6 @@ func (c *Campaign) Run() (*Report, error) {
 		rep.Sensor = sr
 	}
 	if c.Flip != nil {
-		if c.Flip.Seed == 0 {
-			c.Flip.Seed = c.Seed
-		}
 		if c.Flip.Workers == 0 {
 			c.Flip.Workers = c.Workers
 		}
@@ -159,9 +150,6 @@ func (c *Campaign) Run() (*Report, error) {
 		rep.Flip = fr
 	}
 	if c.Swap != nil {
-		if c.Swap.Seed == 0 {
-			c.Swap.Seed = c.Seed
-		}
 		if c.Swap.Workers == 0 {
 			c.Swap.Workers = c.Workers
 		}

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -97,48 +99,73 @@ func TestExplorationBudgetSamplingDeterministic(t *testing.T) {
 	}
 }
 
-// The radio campaign: seeded lossy links must provoke retries and
-// duplicate deliveries, and the retry/backoff/degrade machinery must keep
-// every invariant — no event lost, none double-counted.
-func TestHealthRadioCampaign(t *testing.T) {
-	rep, err := NewHealthRadioCampaign(3, 5).Run()
-	if err != nil {
-		t.Fatal(err)
+// campaignRuns sizes one every-case campaign: tier1 runs per case, a
+// quarter of that under the race detector, and deep under
+// ARTEMIS_DEEP_CHAOS=1 (the weekly job).
+func campaignRuns(tier1, deep int) int {
+	switch {
+	case os.Getenv("ARTEMIS_DEEP_CHAOS") == "1":
+		return deep
+	case raceEnabled:
+		return tier1 / 4
 	}
-	if rep.Failed != 0 {
-		for _, r := range rep.Results {
-			if r.Failure != "" {
-				t.Errorf("link seed %d: %s", r.LinkSeed, r.Failure)
-			}
+	return tier1
+}
+
+// radioFailures reports every failing run of a radio campaign.
+func radioFailures(t *testing.T, rep *RadioReport) {
+	t.Helper()
+	for _, r := range rep.Results {
+		if r.Failure != "" {
+			t.Errorf("link seed %d: %s", r.LinkSeed, r.Failure)
 		}
 	}
-	if rep.Drops == 0 || rep.Retries == 0 {
-		t.Errorf("lossy campaign provoked no loss: drops %d retries %d", rep.Drops, rep.Retries)
-	}
-	if rep.Duplicates == 0 {
-		t.Error("duplication probability 0.2 produced no duplicate deliveries")
+}
+
+// The radio campaign on every example case: seeded lossy links must
+// provoke retries and duplicate deliveries, and the retry/backoff/degrade
+// machinery must leave every store output equal to the perfect-link run's
+// — no event lost, none double-counted.
+func TestHealthRadioCampaign(t *testing.T) {
+	runs := campaignRuns(50, 200)
+	for _, c := range examplespecs.All() {
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
+			rep, err := NewRadioCampaign(c, 3, runs).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			radioFailures(t, rep)
+			if rep.Drops == 0 || rep.Retries == 0 {
+				t.Errorf("lossy campaign provoked no loss: drops %d retries %d", rep.Drops, rep.Retries)
+			}
+			if rep.Duplicates == 0 {
+				t.Error("duplication probability 0.2 produced no duplicate deliveries")
+			}
+		})
 	}
 }
 
 // Under a near-dead channel the retry budget exhausts and the host must
-// degrade to local evaluation instead of losing monitor coverage.
+// degrade to local evaluation instead of losing monitor coverage, on every
+// example case, with every output still equal to the perfect-link run's.
 func TestRadioCampaignDegradesToLocalUnderHeavyLoss(t *testing.T) {
-	c := NewHealthRadioCampaign(9, 3)
-	c.DropProb = 0.85
-	c.DupProb = 0
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Degraded == 0 {
-		t.Error("85% drop rate never exhausted the retry budget — degrade-to-local path untested")
-	}
-	if rep.Failed != 0 {
-		for _, r := range rep.Results {
-			if r.Failure != "" {
-				t.Errorf("link seed %d: %s", r.LinkSeed, r.Failure)
+	runs := campaignRuns(50, 200)
+	for _, c := range examplespecs.All() {
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
+			camp := NewRadioCampaign(c, 9, runs)
+			camp.DropProb = 0.85
+			camp.DupProb = 0
+			rep, err := camp.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if rep.Degraded == 0 {
+				t.Error("85% drop rate never exhausted the retry budget — degrade-to-local path untested")
+			}
+			radioFailures(t, rep)
+		})
 	}
 }
 
@@ -159,18 +186,29 @@ func TestHealthSensorCampaign(t *testing.T) {
 }
 
 // Bit flips anywhere in FRAM may change data but must never crash the
-// runtime uncontrolled — even with the integrity layer off, corrupted
-// control loads surface as typed errors (satellite hardening).
+// runtime uncontrolled, on any example case and with the integrity layer
+// off or on — even without the layer, corrupted control loads surface as
+// typed errors. Degraded runs are allowed here: the layer cannot yet see
+// a flipped runtime/initDone word or a flipped group selector.
 func TestHealthFlipCampaign(t *testing.T) {
-	rep, err := NewHealthFlipCampaign(5, 8, false, 0).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Crashed != 0 {
-		t.Errorf("%d uncontrolled crashes: %v", rep.Crashed, rep.CrashLogs)
-	}
-	if got := rep.Masked + rep.Recovered + rep.Degraded + rep.Detected + rep.Unrecoverable + rep.Crashed; got != rep.Runs {
-		t.Errorf("outcome classes sum to %d, want %d", got, rep.Runs)
+	runs := campaignRuns(300, 2000)
+	for _, c := range examplespecs.All() {
+		for _, integ := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/integrity=%v", c.Name, integ), func(t *testing.T) {
+				t.Parallel()
+				rep, err := NewFlipCampaign(c, 5, runs, integ, 0).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Crashed != 0 {
+					t.Errorf("%d uncontrolled crashes: %v", rep.Crashed, rep.CrashLogs)
+				}
+				if got := rep.Masked + rep.Recovered + rep.Degraded + rep.Detected + rep.Unrecoverable + rep.Crashed; got != rep.Runs {
+					t.Errorf("outcome classes sum to %d, want %d", got, rep.Runs)
+				}
+				t.Logf("%s", rep)
+			})
+		}
 	}
 }
 

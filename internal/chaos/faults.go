@@ -115,20 +115,14 @@ func NewBitFlipper(mem *nvm.Memory, seed int64) *BitFlipper {
 	return &BitFlipper{mem: mem, rng: rng(seed)}
 }
 
-// Flip corrupts one random bit inside an allocation owned by owner (any
-// allocation when owner is empty) and reports where it landed. It returns
-// ok=false when no allocation matches.
-func (b *BitFlipper) Flip(owner string) (alloc nvm.Allocation, off int, bit uint, ok bool) {
-	var candidates []nvm.Allocation
-	for _, a := range b.mem.Allocations() {
-		if owner == "" || a.Owner == owner {
-			candidates = append(candidates, a)
-		}
-	}
-	if len(candidates) == 0 {
+// Flip corrupts one random bit inside a random allocation and reports
+// where it landed. It returns ok=false when the memory has no allocations.
+func (b *BitFlipper) Flip() (alloc nvm.Allocation, off int, bit uint, ok bool) {
+	allocs := b.mem.Allocations()
+	if len(allocs) == 0 {
 		return nvm.Allocation{}, 0, 0, false
 	}
-	alloc = candidates[b.rng.Intn(len(candidates))]
+	alloc = allocs[b.rng.Intn(len(allocs))]
 	off = alloc.Off + b.rng.Intn(alloc.Size)
 	bit = uint(b.rng.Intn(8))
 	b.mem.FlipBit(off, bit)

@@ -27,15 +27,15 @@ type formalState struct {
 	images  [][]byte
 }
 
-// deployFormal deploys the case with its task graph instrumented for
-// read/write-set tracking (cfg.Graph, or the graph cfg.BuildApp returns),
-// with committed-store images captured at every commit flip and reboot.
-// Telemetry stays off: the observer and the uncharged PeekCommitted reads
-// leave the energy model and write counts untouched, so crash schedules
-// match the plain build.
-func (d *deployer) deployFormal() (*core.Framework, *formalState, error) {
+// deployFormal deploys d's case on continuous power with its task graph
+// instrumented for read/write-set tracking (cfg.Graph, or the graph
+// cfg.BuildApp returns), with committed-store images captured at every
+// commit flip and reboot. Telemetry stays off: the observer and the
+// uncharged PeekCommitted reads leave the energy model and write counts
+// untouched, so crash schedules match the plain build.
+func deployFormal(d *examplespecs.Deployer) (*core.Framework, *formalState, error) {
 	st := &formalState{}
-	f, err := d.deploy(func(cfg *core.Config) {
+	f, err := d.Deploy(continuous(func(cfg *core.Config) {
 		graph, build := cfg.Graph, cfg.BuildApp
 		cfg.Graph = nil
 		cfg.BuildApp = func(mem *nvm.Memory) (*task.Graph, []task.Persistent, error) {
@@ -50,7 +50,7 @@ func (d *deployer) deployFormal() (*core.Framework, *formalState, error) {
 			g, err := st.tracker.InstrumentGraph(g)
 			return g, extras, err
 		}
-	})
+	}))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -81,8 +81,8 @@ func committedStore(f *core.Framework) []byte {
 // reachability set the formal "memory" oracle compares crashed runs
 // against. It also proves the case's workload WAR-clean: a hazard here
 // means the golden run itself read-then-wrote raw state.
-func (d *deployer) goldenImages() (*correctness.ImageSet, error) {
-	f, st, err := d.deployFormal()
+func goldenImages(d *examplespecs.Deployer) (*correctness.ImageSet, error) {
+	f, st, err := deployFormal(d)
 	if err != nil {
 		return nil, err
 	}
@@ -121,22 +121,22 @@ func (d *deployer) goldenImages() (*correctness.ImageSet, error) {
 // The tracker nearly doubles the cost of a crash point, so the formal
 // oracles are their own explorer rather than a NewExplorer default.
 func NewFormalExplorer(c examplespecs.Case) (*Explorer, error) {
-	d := newDeployer(c)
-	golden, err := d.goldenImages()
+	d := examplespecs.NewDeployer(c)
+	golden, err := goldenImages(d)
 	if err != nil {
 		return nil, err
 	}
 	var states sync.Map // *core.Framework -> *formalState
 	return &Explorer{
 		Build: func() (*core.Framework, error) {
-			f, st, err := d.deployFormal()
+			f, st, err := deployFormal(d)
 			if err != nil {
 				return nil, err
 			}
 			states.Store(f, st)
 			return f, nil
 		},
-		Keys:        d.cfg.StoreKeys,
+		Keys:        storeKeys(d),
 		ExactKeys:   c.Counters,
 		PostOracles: []string{correctness.OracleMemory, correctness.OracleInputs},
 		PostCheck: func(f *core.Framework, ref, got Outcome) []OracleFailure {

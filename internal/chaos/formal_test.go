@@ -61,7 +61,7 @@ func TestEveryCaseEveryOracle(t *testing.T) {
 // constructor refuses to produce an explorer when the golden continuous
 // run exhibits a write-after-read hazard.
 func TestGoldenRunWARClean(t *testing.T) {
-	set, err := newDeployer(examplespecs.Health()).goldenImages()
+	set, err := goldenImages(examplespecs.NewDeployer(examplespecs.Health()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,29 +13,10 @@ import (
 // This file wires the chaos engine to the paper's health benchmark — the
 // shared campaign definitions the CLI (`artemis-sim --chaos`) and the test
 // suite both run. Keeping them here means "the campaign the CI smoke test
-// passes" and "the campaign a user runs" are the same object.
-
-// healthInvariant checks the application-level safety properties that must
-// hold in every surviving execution, crash or not:
-//
-//   - exactly 10 temperature samples contribute to the average (the
-//     collect: 10 contract — a lost or doubled sample breaks it),
-//   - avgTemp stays within the sensor model's envelope around 36.6,
-//   - between 2 and 3 sends: the maxDuration: 100ms timeliness guard may
-//     legitimately skip one send when a crash stretches the send window,
-//     but the collect monitors never allow fewer than 2 or more than 3.
-func healthInvariant(ref, got Outcome) error {
-	if got.Outputs["tempCount"] != 10 {
-		return fmt.Errorf("tempCount = %v, want 10 (sample lost or double-counted)", got.Outputs["tempCount"])
-	}
-	if avg := got.Outputs["avgTemp"]; avg < 36.4 || avg > 36.8 {
-		return fmt.Errorf("avgTemp = %v, want within [36.4, 36.8]", avg)
-	}
-	if sc := got.Outputs["sentCount"]; sc < 2 || sc > 3 {
-		return fmt.Errorf("sentCount = %v, want 2 or 3", sc)
-	}
-	return nil
-}
+// passes" and "the campaign a user runs" are the same object. Crash, radio
+// and flip campaigns derive from any examplespecs.Case; the sensor and swap
+// campaigns stay health-only, since a case has no sensor hook to wrap a
+// fault around and no spec revision to swap to.
 
 // NewHealthExplorer builds the exhaustive NVM-write-granularity crash
 // explorer for the health benchmark on continuous power: every persistent
@@ -45,41 +26,6 @@ func NewHealthExplorer(seed int64, budget int) *Explorer {
 	e := NewExplorer(examplespecs.Health(), nil)
 	e.Seed, e.Budget = seed, budget
 	return e
-}
-
-// NewHealthRadioCampaign builds the lossy-radio campaign: health benchmark
-// with remote monitors over a dropping, duplicating link. The invariant
-// relaxes sentCount's lower bound — retry backoff adds latency, and every
-// backoff wait can trip the maxDuration timeliness skip — but sample
-// counting must stay exact: delivery loss must degrade to local
-// evaluation, never lose or double-count an event.
-func NewHealthRadioCampaign(seed int64, runs int) *RadioCampaign {
-	d := newDeployer(examplespecs.Health())
-	return &RadioCampaign{
-		Build: func(link monitor.Link) (*core.Framework, error) {
-			return d.deploy(func(cfg *core.Config) {
-				cfg.RemoteMonitors = true
-				cfg.RadioLink = link
-			})
-		},
-		Keys: d.cfg.StoreKeys,
-		Invariant: func(ref, got Outcome) error {
-			if got.Outputs["tempCount"] != 10 {
-				return fmt.Errorf("tempCount = %v, want 10 (event lost or double-counted)", got.Outputs["tempCount"])
-			}
-			if avg := got.Outputs["avgTemp"]; avg < 36.4 || avg > 36.8 {
-				return fmt.Errorf("avgTemp = %v, want within [36.4, 36.8]", avg)
-			}
-			if sc := got.Outputs["sentCount"]; sc > 3 {
-				return fmt.Errorf("sentCount = %v, want at most 3", sc)
-			}
-			return nil
-		},
-		Runs:     runs,
-		Seed:     seed,
-		DropProb: 0.3,
-		DupProb:  0.2,
-	}
 }
 
 // NewHealthSensorCampaign builds the sensor-fault campaign: harmful faults
@@ -99,14 +45,14 @@ func NewHealthSensorCampaign() *SensorCampaign {
 			return nil
 		}
 	}
-	d := newDeployer(examplespecs.Health())
+	d := examplespecs.NewDeployer(examplespecs.Health())
 	return &SensorCampaign{
 		Build: func(f SensorFault) (*core.Framework, error) {
 			app := health.New()
 			app.SenseTemp = f.Apply
-			return d.deploy(func(cfg *core.Config) { cfg.Graph = app.Graph })
+			return d.Deploy(continuous(func(cfg *core.Config) { cfg.Graph = app.Graph }))
 		},
-		Keys: d.cfg.StoreKeys,
+		Keys: storeKeys(d),
 		Cases: []SensorCase{
 			{Fault: StuckAt{Value: 40}, Expect: detects("stuck-at 40°C")},
 			{Fault: Spike{Delta: 20, Every: 3}, Expect: detects("20°C spike")},
@@ -129,7 +75,7 @@ func NewHealthSensorCampaign() *SensorCampaign {
 	}
 }
 
-// integrityConfig enables the self-healing layer on a health deployment:
+// integrityConfig enables the self-healing layer on a deployment:
 // guards on every persistent surface, a fast scrub schedule (so mid-run
 // corruption is found within the run), and the forward-progress watchdog.
 func integrityConfig(scrub simclock.Duration) func(cfg *core.Config) {
@@ -137,43 +83,6 @@ func integrityConfig(scrub simclock.Duration) func(cfg *core.Config) {
 		cfg.Integrity = true
 		cfg.ScrubInterval = scrub
 		cfg.WatchdogLimit = 8
-	}
-}
-
-// NewHealthFlipCampaign builds the NVM soft-error campaign: random single
-// bit flips into any owner's persistent allocations mid-run, on an
-// intermittent supply — a flipped FRAM bit only becomes visible when a
-// reboot reloads the committed image, so the run must actually reboot. The
-// runtime must never crash uncontrolled, with or without the integrity
-// layer; with it, flips that land in a committed image are repaired from
-// the shadow (Recovered) or flagged beyond repair (Unrecoverable).
-// flightDepth > 0 additionally enables telemetry with an NVM flight recorder
-// of that depth, so every Unrecoverable verdict carries the device's last
-// persisted events in the report.
-func NewHealthFlipCampaign(seed int64, runs int, withIntegrity bool, flightDepth int) *FlipCampaign {
-	d := newDeployer(examplespecs.Health())
-	return &FlipCampaign{
-		Build: func() (*core.Framework, error) {
-			return d.deploy(func(cfg *core.Config) {
-				cfg.Supply = core.SupplyConfig{
-					Kind:     core.SupplyFixedDelay,
-					BudgetUJ: 800,
-					Delay:    simclock.Second,
-				}
-				if withIntegrity {
-					integrityConfig(50 * simclock.Millisecond)(cfg)
-				}
-				if flightDepth > 0 {
-					cfg.Telemetry = true
-					cfg.FlightDepth = flightDepth
-				}
-			})
-		},
-		Keys:          d.cfg.StoreKeys,
-		Owner:         "",
-		Runs:          runs,
-		Seed:          seed,
-		WithIntegrity: withIntegrity,
 	}
 }
 
@@ -198,9 +107,9 @@ func NewHealthCampaign(seed int64, crashBudget, radioRuns, flipRuns int, withInt
 	return &Campaign{
 		Seed:   seed,
 		Crash:  crash,
-		Radio:  NewHealthRadioCampaign(seed, radioRuns),
+		Radio:  NewRadioCampaign(examplespecs.Health(), seed, radioRuns),
 		Sensor: NewHealthSensorCampaign(),
-		Flip:   NewHealthFlipCampaign(seed, flipRuns, withIntegrity, flightDepth),
+		Flip:   NewFlipCampaign(examplespecs.Health(), seed, flipRuns, withIntegrity, flightDepth),
 		Swap:   NewHealthSwapCampaign(seed, flipRuns, flightDepth),
 	}
 }
@@ -226,24 +135,18 @@ func withSwapConfig(cfg *core.Config, link monitor.Link, corrupt func(chunk int,
 // flightDepth > 0 attaches the telemetry flight recorder, so any failing
 // verdict carries the device's persisted event history as a black-box dump.
 func NewHealthSwapCampaign(seed int64, runs, flightDepth int) *SwapCampaign {
-	d := newDeployer(examplespecs.Health())
+	d := examplespecs.NewDeployer(examplespecs.Health())
 	return &SwapCampaign{
 		Build: func(link monitor.Link, corrupt func(chunk int, data []byte) []byte) (*core.Framework, error) {
-			return d.deploy(func(cfg *core.Config) {
+			return d.Deploy(continuous(func(cfg *core.Config) {
 				withSwapConfig(cfg, link, corrupt)
 				if flightDepth > 0 {
 					cfg.Telemetry = true
 					cfg.FlightDepth = flightDepth
 				}
-			})
+			}))
 		},
-		Keys: d.cfg.StoreKeys,
-		Invariant: func(ref, got Outcome) error {
-			// Version-agnostic: both spec revisions enforce the same sample
-			// counting; a rolled-back run finishes on v1, a swapped one on
-			// v2, and both must complete the application intact.
-			return healthInvariant(ref, got)
-		},
+		Keys:         storeKeys(d),
 		Runs:         runs,
 		Seed:         seed,
 		DropProb:     0.3,

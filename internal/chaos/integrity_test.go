@@ -13,7 +13,7 @@ import (
 // repaired the flip and the run finished normally (the PR's headline
 // acceptance criterion).
 func TestHealthFlipCampaignWithIntegrityRecovers(t *testing.T) {
-	rep, err := NewHealthFlipCampaign(5, 40, true, 0).Run()
+	rep, err := NewFlipCampaign(examplespecs.Health(), 5, 40, true, 0).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestHealthIntegrityExhaustiveCrashExploration(t *testing.T) {
 func TestWatchdogEndsBootLoop(t *testing.T) {
 	starved := func(watchdogLimit, maxReboots int) (*core.Framework, *core.Report) {
 		t.Helper()
-		f, err := newDeployer(examplespecs.Health()).deploy(func(cfg *core.Config) {
+		f, err := examplespecs.NewDeployer(examplespecs.Health()).Deploy(func(cfg *core.Config) {
 			cfg.Supply = core.SupplyConfig{
 				Kind:     core.SupplyFixedDelay,
 				BudgetUJ: 5, // covers a boot replay, not bodyTemp's ADC sample

@@ -3,6 +3,7 @@ package chaos
 import (
 	"testing"
 
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/parallel"
 )
 
@@ -50,7 +51,7 @@ func TestExplorerParallelDeterminism(t *testing.T) {
 }
 
 func TestFlipCampaignParallelDeterminism(t *testing.T) {
-	serialRep, err := NewHealthFlipCampaign(5, 12, false, 0).Run()
+	serialRep, err := NewFlipCampaign(examplespecs.Health(), 5, 12, false, 0).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFlipCampaignParallelDeterminism(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
-		camp := NewHealthFlipCampaign(5, 12, false, 0)
+		camp := NewFlipCampaign(examplespecs.Health(), 5, 12, false, 0)
 		camp.Workers = 4
 		rep, err := camp.Run()
 		if err != nil {

@@ -18,20 +18,17 @@ const OracleSwap = "swap"
 // SwapCampaign exercises over-the-air reprogramming under transfer faults:
 // seeded runs with chunk loss, duplication, and periodic in-flight
 // corruption. Every run must end in one of exactly two terminal states — a
-// clean swap to the new version or a clean rollback to the old — with the
-// application invariant holding either way; a corrupted bundle must always
-// end in rollback.
+// clean swap to the new version or a clean rollback to the old — with every
+// store output equal to the reference either way; a corrupted bundle must
+// always end in rollback.
 type SwapCampaign struct {
 	// Build constructs a fresh deployment with a swap queued over the given
 	// link and corruption hook (both may be nil for the reference run).
 	Build func(link monitor.Link, corrupt func(chunk int, data []byte) []byte) (*core.Framework, error)
 
-	// Keys are the store outputs captured into each Outcome.
+	// Keys are the store outputs captured into each Outcome. Every one
+	// must equal the reference, whichever version the run finishes on.
 	Keys []string
-
-	// Invariant checks a faulted run against the reference. It must be
-	// version-agnostic: a rolled-back run finishes on the old spec.
-	Invariant func(ref, got Outcome) error
 
 	// Runs is how many seeded faulted runs to perform (default 6).
 	Runs int
@@ -212,13 +209,7 @@ func (c *SwapCampaign) Run() (*SwapReport, error) {
 					return fmt.Sprintf("hybrid terminal state: version %d, %d swaps, %d rollbacks (%s)",
 						v, st.Swaps, st.Rollbacks, st.LastRollback)
 				}
-				if c.Invariant != nil {
-					got := capture(f, rep, c.Keys)
-					if ierr := c.Invariant(ref, got); ierr != nil {
-						return ierr.Error()
-					}
-				}
-				return ""
+				return diverged(c.Keys, ref, capture(f, rep, c.Keys))
 			}()
 			if res.Failure != "" {
 				// Attach the black box: nil-safe, empty without a recorder.

@@ -65,17 +65,24 @@ func TestTelemetryExplorer(t *testing.T) {
 
 // TestTelemetryExplorerMatchesBaseline: attaching the recorder must not
 // change what the application computes — the base oracles judge against an
-// instrumented reference, so the instrumented run itself must satisfy the
-// health invariant (tempCount, avgTemp, sentCount) the campaigns enforce.
+// instrumented reference, so the instrumented run must end with every
+// store output equal to an uninstrumented health run's.
 func TestTelemetryExplorerMatchesBaseline(t *testing.T) {
-	f, err := telemetryExplorer(7, 1).Build()
-	if err != nil {
-		t.Fatal(err)
+	outcome := func(e *Explorer) (*core.Framework, Outcome) {
+		t.Helper()
+		f, err := e.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(f.Release)
+		rep, err := f.Run()
+		if err != nil || !rep.Completed {
+			t.Fatalf("run did not complete: %v", err)
+		}
+		return f, capture(f, rep, e.Keys)
 	}
-	runRep, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, ref := outcome(NewHealthExplorer(7, 1))
+	f, got := outcome(telemetryExplorer(7, 1))
 	tel := f.Telemetry()
 	if tel == nil {
 		t.Fatal("instrumented build has no tracer")
@@ -89,8 +96,11 @@ func TestTelemetryExplorerMatchesBaseline(t *testing.T) {
 	if err := tel.VerifyFlight(); err != nil {
 		t.Fatalf("VerifyFlight after clean run: %v", err)
 	}
-	if err := healthInvariant(Outcome{}, capture(f, runRep, health.Keys())); err != nil {
-		t.Fatalf("instrumented run violates the health invariant: %v", err)
+	if len(got.Outputs) != len(health.Keys()) {
+		t.Fatalf("captured %d outputs, want all %d health store keys", len(got.Outputs), len(health.Keys()))
+	}
+	if d := diverged(health.Keys(), ref, got); d != "" {
+		t.Fatalf("instrumented run diverges from the uninstrumented one: %s", d)
 	}
 }
 
@@ -98,7 +108,7 @@ func TestTelemetryExplorerMatchesBaseline(t *testing.T) {
 // unrecoverable bit-flip verdict must carry a non-empty black-box dump,
 // and the report must render it.
 func TestFlipCampaignFlightDumps(t *testing.T) {
-	rep, err := NewHealthFlipCampaign(5, 40, true, 32).Run()
+	rep, err := NewFlipCampaign(examplespecs.Health(), 5, 40, true, 32).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +128,7 @@ func TestFlipCampaignFlightDumps(t *testing.T) {
 	}
 	// Without a recorder the dump list stays empty even when outcomes are
 	// unrecoverable, preserving the seeded baseline report byte-for-byte.
-	bare, err := NewHealthFlipCampaign(5, 12, true, 0).Run()
+	bare, err := NewFlipCampaign(examplespecs.Health(), 5, 12, true, 0).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,24 +62,55 @@ func Health() Case {
 // healthCounters are the health app's sample, collection and send counters.
 func healthCounters() []string { return []string{"tempCount", "micData", "accelData", "sentCount"} }
 
-// Compile deploys one configuration of c as a probe and returns the
-// monitor program the probe runs (nil for a non-ARTEMIS case). A
-// transform.Result is immutable and fits every topology-identical graph,
-// which fresh Config() calls produce by construction, so one compile serves
-// every later deployment of c. core.New builds a BuildApp case's graph on
-// the probe's own image, which goes back to the pool with it, so
-// camera-style cases compile here too.
-func Compile(c Case) (*transform.Result, error) {
+// Deployer deploys one Case. It builds the case's configuration once and
+// compiles its monitor program once; every deployment gets its own copy of
+// that configuration, so the task graph and the compiled program are shared
+// by every deployment, concurrent ones included. Both are immutable and the
+// tasks keep their state in the store, so building them per deployment
+// would only make garbage: crash sweeps, fault campaigns and fleet steps
+// deploy through it.
+type Deployer struct {
+	cfg core.Config
+	// err is the case's build or compile error; Config and Deploy return
+	// it, so constructors that cannot fail still report it on first use.
+	err error
+}
+
+// NewDeployer builds c's configuration and compiles its monitor program
+// (none for a non-ARTEMIS case) on a probe deployment. A transform.Result is
+// immutable and fits every topology-identical graph, and core.New builds a
+// BuildApp case's graph on the probe's own image, which goes back to the
+// pool with it, so camera-style cases compile here too.
+func NewDeployer(c Case) *Deployer {
 	cfg, err := c.Config()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		var f *core.Framework
+		if f, err = core.New(cfg); err == nil {
+			cfg.Compiled, cfg.SpecSource = f.Compiled(), ""
+			f.Release()
+		}
 	}
-	f, err := core.New(cfg)
 	if err != nil {
-		return nil, err
+		return &Deployer{err: fmt.Errorf("examplespecs: case %s: %w", c.Name, err)}
 	}
-	defer f.Release()
-	return f.Compiled(), nil
+	return &Deployer{cfg: cfg}
+}
+
+// Config returns a copy of the case's configuration with its compiled
+// program attached, or the case's build or compile error.
+func (d *Deployer) Config() (core.Config, error) { return d.cfg, d.err }
+
+// Deploy builds one deployment; mut, when non-nil, adjusts its copy of the
+// configuration first.
+func (d *Deployer) Deploy(mut func(cfg *core.Config)) (*core.Framework, error) {
+	if d.err != nil {
+		return nil, d.err
+	}
+	cfg := d.cfg
+	if mut != nil {
+		mut(&cfg)
+	}
+	return core.New(cfg)
 }
 
 // HealthConfig is the paper's health-monitor benchmark under the

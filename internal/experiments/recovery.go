@@ -6,6 +6,7 @@ import (
 	"github.com/tinysystems/artemis-go/internal/chaos"
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/device"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/simclock"
 	"github.com/tinysystems/artemis-go/internal/trace"
 )
@@ -59,7 +60,7 @@ func Recovery(o Options) (*RecoveryResult, error) {
 	// additionally parallelise their own runs.
 	steps := []func() error{
 		func() error {
-			camp := chaos.NewHealthFlipCampaign(5, 40, false, 0)
+			camp := chaos.NewFlipCampaign(examplespecs.Health(), 5, 40, false, 0)
 			camp.Workers = o.Workers
 			rep, err := camp.Run()
 			if err != nil {
@@ -69,7 +70,7 @@ func Recovery(o Options) (*RecoveryResult, error) {
 			return nil
 		},
 		func() error {
-			camp := chaos.NewHealthFlipCampaign(5, 40, true, 0)
+			camp := chaos.NewFlipCampaign(examplespecs.Health(), 5, 40, true, 0)
 			camp.Workers = o.Workers
 			rep, err := camp.Run()
 			if err != nil {

@@ -37,7 +37,6 @@ import (
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/parallel"
 	"github.com/tinysystems/artemis-go/internal/telemetry"
-	"github.com/tinysystems/artemis-go/internal/transform"
 )
 
 // Config sizes an engine.
@@ -79,13 +78,12 @@ type Member struct {
 	Case examplespecs.Case
 }
 
-// device is one fleet member: a case binding plus the per-case compiled
-// monitor program (shared by every device of the same case).
+// device is one fleet member and its case's deployer, which every device
+// of the same case shares.
 type device struct {
-	index    int
-	name     string
-	build    func() (core.Config, error)
-	compiled *transform.Result
+	index  int
+	name   string
+	deploy *examplespecs.Deployer
 }
 
 // shard owns a contiguous block of devices and all state their steps touch.
@@ -113,10 +111,11 @@ type Engine struct {
 	digest uint64
 }
 
-// New assembles a fleet engine. It deploys each distinct case once to
-// validate it and to compile its monitor program, so per-step construction
-// skips every parse and compile for all devices that share the case (the
-// same sharing sweeps use). Cases are told apart by name.
+// New assembles a fleet engine. It builds one examplespecs.Deployer per
+// distinct case, which builds the case's configuration and compiles its
+// monitor program once, so a device step only copies that configuration
+// for all devices that share the case (the same sharing sweeps use). Cases
+// are told apart by name.
 func New(cfg Config) (*Engine, error) {
 	members := cfg.Members
 	if members == nil {
@@ -145,18 +144,17 @@ func New(cfg Config) (*Engine, error) {
 	if shards > devices {
 		shards = devices
 	}
-	// One compiled monitor program per distinct case, shared by all its
-	// devices and steps.
-	compiled := make(map[string]*transform.Result, 8)
+	// One deployer per distinct case, shared by all its devices and steps.
+	deployers := make(map[string]*examplespecs.Deployer, 8)
 	for _, m := range members {
-		if _, ok := compiled[m.Case.Name]; ok {
+		if _, ok := deployers[m.Case.Name]; ok {
 			continue
 		}
-		res, err := examplespecs.Compile(m.Case)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: case %s: %w", m.Case.Name, err)
+		d := examplespecs.NewDeployer(m.Case)
+		if _, err := d.Config(); err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
 		}
-		compiled[m.Case.Name] = res
+		deployers[m.Case.Name] = d
 	}
 
 	e := &Engine{workers: cfg.Workers, devices: devices}
@@ -172,10 +170,9 @@ func New(cfg Config) (*Engine, error) {
 		for i := lo; i < hi; i++ {
 			m := members[i]
 			sh.devices = append(sh.devices, device{
-				index:    i,
-				name:     m.Name,
-				build:    m.Case.Config,
-				compiled: compiled[m.Case.Name],
+				index:  i,
+				name:   m.Name,
+				deploy: deployers[m.Case.Name],
 			})
 		}
 		sh.stats = telemetry.FleetShard{Shard: s, Devices: len(sh.devices)}
@@ -333,14 +330,7 @@ func (sh *shard) step(ctx context.Context) error {
 // device's FRAM image goes back to the recycle pool once the digest is
 // taken.
 func (sh *shard) stepDevice(d *device) (uint64, error) {
-	cfg, err := d.build()
-	if err != nil {
-		return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
-	}
-	if d.compiled != nil {
-		cfg.Compiled, cfg.SpecSource = d.compiled, ""
-	}
-	f, err := core.New(cfg)
+	f, err := d.deploy.Deploy(nil)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
 	}

@@ -279,8 +279,9 @@ func TestFleetConfigValidation(t *testing.T) {
 
 // TestFleetDevicesShareCompiledProgram pins construction-time compilation:
 // every device of every ARTEMIS case — camera (built against the image) and
-// customir (hand-written IR) included — runs its case's one program,
-// compiled by New, on every step.
+// customir (hand-written IR) included — deploys through its case's one
+// deployer, built by New, and runs that deployer's one program on every
+// step.
 func TestFleetDevicesShareCompiledProgram(t *testing.T) {
 	cases := examplespecs.All()
 	devices, steps := 2*len(cases), 2
@@ -300,22 +301,23 @@ func TestFleetDevicesShareCompiledProgram(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	byCase := map[string]*transform.Result{}
+	byCase := map[string]*examplespecs.Deployer{}
 	for _, sh := range e.shards {
 		for _, d := range sh.devices {
 			c := cases[d.index%len(cases)].Name
-			if d.compiled == nil {
-				t.Fatalf("device %s: no program compiled at construction", d.name)
+			cfg, err := d.deploy.Config()
+			if err != nil || cfg.Compiled == nil {
+				t.Fatalf("device %s: no program compiled at construction (%v)", d.name, err)
 			}
-			if prev, ok := byCase[c]; ok && prev != d.compiled {
-				t.Errorf("case %s: devices hold different programs", c)
+			if prev, ok := byCase[c]; ok && prev != d.deploy {
+				t.Errorf("case %s: devices hold different deployers", c)
 			}
-			byCase[c] = d.compiled
+			byCase[c] = d.deploy
 			if len(seen[d.index]) != steps {
 				t.Fatalf("device %s: %d runs observed, want %d", d.name, len(seen[d.index]), steps)
 			}
 			for s, got := range seen[d.index] {
-				if got != d.compiled {
+				if got != cfg.Compiled {
 					t.Errorf("device %s step %d: ran a program other than the engine's", d.name, s)
 				}
 			}
@@ -328,10 +330,12 @@ func TestFleetDevicesShareCompiledProgram(t *testing.T) {
 
 // fleetStepAllocBudget caps the allocations of one Engine.Step over a
 // six-device fleet, one device per example case. The measured count is
-// ~333. Compiling any case per step again costs hundreds more; building
-// each committed region's allocation names or each MCU's accumulators on
-// the heap again costs tens per device, which the budget also catches.
-const fleetStepAllocBudget = 400
+// ~222. Building each case's configuration per step again (Case.Config
+// instead of a copy of the deployer's) costs ~90 more, and compiling any
+// case per step again hundreds more; building each committed region's
+// allocation names or each MCU's accumulators on the heap again costs tens
+// per device, which the budget also catches.
+const fleetStepAllocBudget = 260
 
 func TestFleetStepAllocBudget(t *testing.T) {
 	if raceEnabled {
