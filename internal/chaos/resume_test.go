@@ -75,15 +75,12 @@ func resumeConfigs() []resumeConfig {
 // failure injected after write k. Compared are the point's verdict, the
 // captured outcome, the runtime's and the integrity layer's counters, the
 // tracer's log, the FRAM image hash and counters, the clock and supply,
-// and the report's run result, breakdown, footprints and wear.
-//
-// One kind of point is compared without its outcome: a crash whose reboot
-// exhausts the reboot budget, so that no boot follows it (the last writes
-// of Mayfly's livelocked run at a 6-minute charging delay). Capture reads
-// the store, the monitors and the cursor through their volatile stages,
-// which only a boot reloads from FRAM; without one, the replayed run
-// still shows the stages its dead attempt left, SRAM that a real power
-// failure wipes, and the resumed run the fresh deployment's.
+// and the report's run result, breakdown, footprints and wear. That holds
+// at a crash whose reboot exhausts the reboot budget too (the last writes
+// of Mayfly's livelocked run at a 6-minute charging delay): no boot
+// follows it, so the replayed run's stages still hold what its dead
+// attempt staged and the resumed run's what the fresh deployment staged,
+// but capture reads the committed image both share.
 func TestResumeMatchesReplay(t *testing.T) {
 	for _, c := range resumeConfigs() {
 		t.Run(c.name, func(t *testing.T) {
@@ -94,29 +91,19 @@ func TestResumeMatchesReplay(t *testing.T) {
 			if (c.sampled && os.Getenv("ARTEMIS_DEEP_CHAOS") != "1") || raceEnabled {
 				points = samplePoints(points, resumeSample)
 			}
-			type verdict struct {
-				diff   string
-				booted bool
-			}
-			vs, err := parallel.Map(context.Background(), points, 2,
-				func(_ context.Context, _ int, k int) (verdict, error) {
-					diff, booted := resumeDiff(e, k, ref, rec, hashes)
-					return verdict{diff, booted}, nil
+			diffs, err := parallel.Map(context.Background(), points, 2,
+				func(_ context.Context, _ int, k int) (string, error) {
+					return resumeDiff(e, k, ref, rec, hashes), nil
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
-			unbooted := 0
-			for i, v := range vs {
-				if v.diff != "" {
-					t.Fatalf("crash point %d of %d: resumed and replayed runs differ: %s", points[i], rec.Writes(), v.diff)
-				}
-				if !v.booted {
-					unbooted++
+			for i, diff := range diffs {
+				if diff != "" {
+					t.Fatalf("crash point %d of %d: resumed and replayed runs differ: %s", points[i], rec.Writes(), diff)
 				}
 			}
-			t.Logf("%d of %d crash points identical (%d without a boot after the crash)",
-				len(points), rec.Writes(), unbooted)
+			t.Logf("%d of %d crash points identical", len(points), rec.Writes())
 		})
 	}
 }
@@ -177,31 +164,24 @@ type pointView struct {
 }
 
 // resumeDiff runs crash point k replayed and resumed and describes the
-// first difference, or returns "" when there is none. booted is false for
-// a point whose crash used up the reboot budget; its outcome and verdict,
-// which read volatile stages, are left out of the comparison.
-func resumeDiff(e *Explorer, k int, ref Outcome, rec *core.Recording, hashes []uint64) (diff string, booted bool) {
+// first difference, or returns "" when there is none.
+func resumeDiff(e *Explorer, k int, ref Outcome, rec *core.Recording, hashes []uint64) string {
 	replayed, err := viewPoint(e, k, ref, nil, nil)
 	if err != nil {
-		return "replay: " + err.Error(), true
+		return "replay: " + err.Error()
 	}
 	resumed, err := viewPoint(e, k, ref, rec, hashes)
 	if err != nil {
-		return "resume: " + err.Error(), true
-	}
-	booted = !(resumed.Report.NonTerminated && resumed.Report.Reboots == rec.Reboots(k)+1)
-	if !booted {
-		replayed.Outcome, resumed.Outcome = Outcome{}, Outcome{}
-		replayed.Point.Failures, resumed.Point.Failures = nil, nil
+		return "resume: " + err.Error()
 	}
 	a, b := reflect.ValueOf(replayed), reflect.ValueOf(resumed)
 	for i := 0; i < a.NumField(); i++ {
 		if !reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()) {
 			return fmt.Sprintf("%s\n replayed %+v\n resumed  %+v", a.Type().Field(i).Name,
-				a.Field(i).Interface(), b.Field(i).Interface()), booted
+				a.Field(i).Interface(), b.Field(i).Interface())
 		}
 	}
-	return "", booted
+	return ""
 }
 
 // viewPoint runs crash point k like explorePoint, replayed when rec is nil

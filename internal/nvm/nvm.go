@@ -995,6 +995,9 @@ type Committed struct {
 	stage  []byte
 	size   int
 	group  *CommitGroup
+	// held keeps the stage while Memory.ViewCommitted points stage at the
+	// committed image.
+	held []byte
 
 	// Dirty-range tracking: host-side bookkeeping that lets Commit prove
 	// where a buffer can differ from the stage, so the shadow write scans
@@ -1156,6 +1159,35 @@ func (c *Committed) PeekCommitted(p []byte) {
 		r = &c.b
 	}
 	copy(p, r.mem.data[r.off:r.off+len(p)])
+}
+
+// ViewCommitted runs fn while every committed region of m reads as its last
+// committed image, the image the next boot's Reopen would load, instead of
+// its volatile stage, so the components' own accessors read what a power
+// failure leaves. Like PeekCommitted it is a host-side instrument for
+// oracles: nothing is charged or counted and the access observer sees
+// nothing. fn must not write to any region: while it runs, a stage is the
+// image itself.
+func (m *Memory) ViewCommitted(fn func()) {
+	for _, ch := range m.commChunks {
+		for j := range ch {
+			c := &ch[j]
+			r := &c.a
+			if m.data[c.sel.off] != 0 {
+				r = &c.b
+			}
+			c.held, c.stage = c.stage, m.data[r.off:r.off+c.size:r.off+c.size]
+		}
+	}
+	defer func() {
+		for _, ch := range m.commChunks {
+			for j := range ch {
+				c := &ch[j]
+				c.stage, c.held = c.held, nil
+			}
+		}
+	}()
+	fn()
 }
 
 // ReadShadow copies the previous committed image (the shadow buffer) into

@@ -300,6 +300,42 @@ func TestCommittedBasics(t *testing.T) {
 	}
 }
 
+// TestViewCommitted: inside ViewCommitted every region reads its last
+// committed image, a private one and a grouped one alike, without a charge;
+// afterwards the staged values are back and commit as usual.
+func TestViewCommitted(t *testing.T) {
+	m := New(256)
+	a := MustAllocCommitted(m, "task", "a", 8)
+	b := MustAllocCommitted(m, "task", "b", 8)
+	g := MustNewCommitGroup(m, "task", "grp")
+	b.Join(g)
+	a.WriteUint64(0, 1)
+	a.Commit()
+	b.WriteUint64(0, 2)
+	g.Commit()
+	a.WriteUint64(0, 10) // staged only
+	b.WriteUint64(0, 20)
+	before := m.Stats()
+	m.ViewCommitted(func() {
+		if ga, gb := a.ReadUint64(0), b.ReadUint64(0); ga != 1 || gb != 2 {
+			t.Errorf("view reads %d, %d, want the committed 1, 2", ga, gb)
+		}
+	})
+	if m.Stats() != before {
+		t.Errorf("view charged the device: stats %+v, were %+v", m.Stats(), before)
+	}
+	if ga, gb := a.ReadUint64(0), b.ReadUint64(0); ga != 10 || gb != 20 {
+		t.Fatalf("stages read %d, %d after the view, want the staged 10, 20", ga, gb)
+	}
+	a.Commit()
+	g.Commit()
+	a.Reopen()
+	b.Reopen()
+	if ga, gb := a.ReadUint64(0), b.ReadUint64(0); ga != 10 || gb != 20 {
+		t.Fatalf("committed %d, %d after the view, want 10, 20", ga, gb)
+	}
+}
+
 func TestCommittedBoundsPanic(t *testing.T) {
 	m := New(256)
 	c := MustAllocCommitted(m, "task", "out", 8)
