@@ -179,6 +179,40 @@ func TestFlipBitTogglesWithoutAccounting(t *testing.T) {
 	}
 }
 
+// A commit writes the whole staged image into the shadow buffer, so a bit
+// flipped in the shadow cannot outlive the next commit, even in a word no
+// write since has staged. Checked for a private and a grouped region, on
+// the one-pass commit and on the per-op path a write observer forces.
+func TestCommitOverwritesFlippedShadow(t *testing.T) {
+	for _, grouped := range []bool{false, true} {
+		for _, perOp := range []bool{false, true} {
+			t.Run(fmt.Sprintf("grouped=%v/perOp=%v", grouped, perOp), func(t *testing.T) {
+				m := New(256)
+				c := MustAllocCommitted(m, "t", "x", 16)
+				if grouped {
+					c.Join(MustNewCommitGroup(m, "t", "grp"))
+				}
+				if perOp {
+					m.SetWriteObserver(func() {})
+				}
+				c.WriteUint64(8, 7)
+				for i := uint64(1); i <= 3; i++ {
+					c.WriteUint64(0, i)
+					c.Commit()
+				}
+				m.FlipBit(c.shadow().off+12, 5)
+				c.WriteUint64(0, 4)
+				c.Commit()
+				got := make([]byte, 16)
+				c.PeekCommitted(got)
+				if !bytes.Equal(got, c.stage) {
+					t.Fatalf("committed image % x, staged % x: the flipped bit survived the commit", got, c.stage)
+				}
+			})
+		}
+	}
+}
+
 func TestHashDistinguishesAndMatchesStates(t *testing.T) {
 	m1, m2 := New(128), New(128)
 	r1 := m1.MustAlloc("t", "x", 8)

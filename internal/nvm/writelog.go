@@ -31,12 +31,11 @@ type WriteLog struct {
 }
 
 // logEntry is one logged write: it stored data[previous entry's end:end]
-// at off, charged n bytes of wear to allocation idx, and moved the
+// at off, charged those bytes as wear to allocation idx, and moved the
 // counters by delta since the previous write (reads in between included).
 type logEntry struct {
-	idx, off int32
-	n, end   int32
-	delta    [4]int32 // Reads, Writes, BytesRead, BytesWritten
+	idx, off, end int32
+	delta         [4]int32 // Reads, Writes, BytesRead, BytesWritten
 }
 
 // keyframe is the memory's state after write keyEvery*i of the log, i its
@@ -84,15 +83,16 @@ func (m *Memory) keyframe(l *WriteLog) {
 }
 
 // logWrite records one completed write that stored p at off and charged
-// n bytes of wear to allocation idx, then runs the log's after hook. It is
-// outlined so the write paths only pay a nil test when no log is armed.
+// len(p) bytes of wear to allocation idx, then runs the log's after hook.
+// It is outlined so the write paths only pay a nil test when no log is
+// armed.
 //
 //go:noinline
-func (m *Memory) logWrite(idx, off int, p []byte, n int) {
+func (m *Memory) logWrite(idx, off int, p []byte) {
 	l := m.log
 	l.data = append(l.data, p...)
 	s := m.stats
-	l.ents = append(l.ents, logEntry{idx: int32(idx), off: int32(off), n: int32(n), end: int32(len(l.data)),
+	l.ents = append(l.ents, logEntry{idx: int32(idx), off: int32(off), end: int32(len(l.data)),
 		delta: [4]int32{delta32(s.Reads, l.last.Reads), delta32(s.Writes, l.last.Writes),
 			delta32(s.BytesRead, l.last.BytesRead), delta32(s.BytesWritten, l.last.BytesWritten)}})
 	l.last = s
@@ -110,9 +110,7 @@ func (m *Memory) logWrite(idx, off int, p []byte, n int) {
 // memory's allocation layout, which a fresh deployment of the same
 // configuration has by construction.
 //
-// The image changes under every Committed region of m, so each region's
-// dirty ranges widen to the whole region: host bookkeeping only, no charge
-// moves. The hash cache is invalidated. Hooks and observers are untouched.
+// The hash cache is invalidated. Hooks and observers are untouched.
 func (m *Memory) Restore(l *WriteLog, k int) error {
 	if k < 0 || k > len(l.ents) {
 		return fmt.Errorf("nvm: restore of write %d outside a log of %d writes", k, len(l.ents))
@@ -140,22 +138,16 @@ func (m *Memory) Restore(l *WriteLog, k int) error {
 		start = int(l.ents[first-1].end)
 	}
 	for _, e := range l.ents[i*keyEvery : k] {
-		copy(m.data[e.off:], l.data[start:e.end])
+		p := l.data[start:e.end]
+		copy(m.data[e.off:], p)
+		m.account(int(e.idx), len(p))
 		start = int(e.end)
-		m.account(int(e.idx), int(e.n))
 		m.stats.Reads += int64(e.delta[0])
 		m.stats.Writes += int64(e.delta[1])
 		m.stats.BytesRead += int64(e.delta[2])
 		m.stats.BytesWritten += int64(e.delta[3])
 	}
 	m.stale = true
-	for _, ch := range m.commChunks {
-		for j := range ch {
-			c := &ch[j]
-			c.pdLo[0], c.pdHi[0] = 0, c.size
-			c.pdLo[1], c.pdHi[1] = 0, c.size
-		}
-	}
 	return nil
 }
 

@@ -63,7 +63,7 @@ const logRigSteps = 400
 // Restoring the log at write k must give the memory a run crashed right
 // after write k leaves: the image, the counters and the per-allocation
 // wear. Committed regions must then commit correctly on the restored
-// image, which needs Restore to widen their dirty ranges.
+// image.
 func TestRestoreMatchesEveryWrite(t *testing.T) {
 	ref := newLogRig()
 	var l WriteLog
