@@ -10,6 +10,9 @@ import (
 // TestMetricsGolden pins the -metrics exposition of four single-device runs
 // byte for byte: continuous-looking and Figure-12 charging delays, the
 // flight recorder with the integrity layer, and the Ocelot runtime.
+// Regenerate the files with
+//
+//	go test ./cmd/artemis-sim -run TestMetricsGolden -update
 func TestMetricsGolden(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct {
@@ -29,14 +32,7 @@ func TestMetricsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", "metrics_"+c.name+".prom")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: output differs from the golden file\ngot:\n%s\nwant:\n%s", path, got, want)
-		}
+		checkGolden(t, filepath.Join("testdata", "metrics_"+c.name+".prom"), got)
 	}
 }
 
