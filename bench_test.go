@@ -528,8 +528,11 @@ func BenchmarkNVMWrite(b *testing.B) {
 // monitor-sized region on its own selector, "group" a three-member group
 // on a shared one — a monitor step and a task boundary. Each op stages one
 // changed word first, so the shadow copy and wear do real work; the hash
-// is only marked stale (BenchmarkNVMRehash prices the recompute). Both pin
-// the commit at zero allocations.
+// is only marked stale (BenchmarkNVMRehash prices the recompute).
+// "flight64" and "otaChunk" commit the two large regions whose commits
+// change a few words: a one-event flush of a depth-64 flight ring
+// (2,568 B) and one 64-byte chunk into the 4 KiB OTA staging region with
+// its metadata word. All four pin the commit at zero allocations.
 func BenchmarkCommit(b *testing.B) {
 	b.Run("private", func(b *testing.B) {
 		mem := nvm.New(4096)
@@ -553,6 +556,41 @@ func BenchmarkCommit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cs[i%len(cs)].WriteUint64(0, uint64(i))
+			g.Commit()
+		}
+	})
+	b.Run("flight64", func(b *testing.B) {
+		const depth, slotBytes = 64, 40
+		mem := nvm.New(1 << 16)
+		ring := nvm.MustAllocCommitted(mem, "bench", "flight", 8+depth*slotBytes)
+		ring.Join(nvm.MustNewCommitGroup(mem, "bench", "flightGroup"))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			slot := 8 + i%depth*slotBytes
+			for w := 0; w < slotBytes; w += 8 {
+				ring.WriteUint64(slot+w, uint64(i+w))
+			}
+			ring.WriteUint64(0, uint64(i+1))
+			ring.Commit()
+		}
+	})
+	b.Run("otaChunk", func(b *testing.B) {
+		const chunk = 64
+		mem := nvm.New(1 << 16)
+		meta := nvm.MustAllocCommitted(mem, "bench", "meta", 56)
+		staging := nvm.MustAllocCommitted(mem, "bench", "staging", 4096)
+		g := nvm.MustNewCommitGroup(mem, "bench", "otaGroup")
+		meta.Join(g)
+		staging.Join(g)
+		data := make([]byte, chunk)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := i * chunk % staging.Size()
+			data[0] = byte(i)
+			staging.Write(off, data)
+			meta.WriteUint64(48, uint64(off+chunk))
 			g.Commit()
 		}
 	})
