@@ -275,7 +275,8 @@ func BenchmarkAblationGeneratedMonitor(b *testing.B) {
 
 // BenchmarkAblationCompiledMonitor measures the compiled FSM step alone:
 // the health program's closure-compiled machines over volatile slots, one
-// shared frame staged once per event, then StepStaged on every machine.
+// shared frame staged once per event with its task id resolved, then
+// StepStaged on every machine.
 // BenchmarkAblationPersistentMonitor adds FRAM persistence to this loop.
 func BenchmarkAblationCompiledMonitor(b *testing.B) {
 	res, err := health.New().Compile()
@@ -297,7 +298,8 @@ func BenchmarkAblationCompiledMonitor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame.StageEvent(&evs[i%len(evs)], uint64(i)+1)
+		ev := &evs[i%len(evs)]
+		frame.StageEvent(ev, uint64(i)+1, prog.TaskID(ev.Task))
 		for mi, sl := range slots {
 			if _, err := prog.Machine(mi).StepStaged(frame, sl); err != nil {
 				b.Fatal(err)
@@ -328,6 +330,56 @@ func BenchmarkAblationPersistentMonitor(b *testing.B) {
 		if _, err := set.Deliver(ev); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSetDeliver measures runtime dispatch on every example case: one
+// op delivers one pass over the case's own task graph, the start and end
+// of every task of every path in order, to the persistent monitor set a
+// deployment of the case runs. The ablation benchmarks feed health's
+// machines the synthetic benchEvents alphabet; here every case sees its own
+// graph's events, so the share of deliveries its dispatch table skips is
+// the case's own.
+func BenchmarkSetDeliver(b *testing.B) {
+	for _, c := range examplespecs.All() {
+		b.Run(c.Name, func(b *testing.B) {
+			cfg, err := examplespecs.NewDeployer(c).Config()
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := cfg.Graph
+			if g == nil {
+				// A BuildApp case builds its graph over an image.
+				if g, _, err = cfg.BuildApp(nvm.New(256 * 1024)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var pass []ir.Event
+			for _, p := range g.Paths {
+				for _, tk := range p.Tasks {
+					at := simclock.Time(simclock.Duration(len(pass)) * simclock.Second)
+					pass = append(pass,
+						ir.Event{Kind: ir.EvStart, Task: tk.Name, Time: at, Path: p.ID},
+						ir.Event{Kind: ir.EvEnd, Task: tk.Name, Time: at + simclock.Time(simclock.Second), Path: p.ID, Data: 36.5})
+				}
+			}
+			set, err := monitor.NewSet(nvm.New(256*1024), cfg.Compiled)
+			if err != nil {
+				b.Fatal(err)
+			}
+			set.Reset()
+			var seq uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ev := range pass {
+					seq++
+					if _, err := set.Deliver(monitor.Event{Event: ev, Seq: seq}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

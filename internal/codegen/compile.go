@@ -21,6 +21,17 @@
 // otherwise). The differential harness (compile_test.go and the repo-root
 // equivalence tests) holds the two engines byte-identical over every
 // example specification.
+//
+// Most transitions watch one task: the spec transform leads every guard of
+// a Figure-7 template with task == "lit". A Program interns those literals
+// into a task table, and each compiled state keeps, per event kind, the set
+// of task ids on which one of its transitions can fire (Candidate). An
+// event outside that set cannot move the machine, so a monitor set skips
+// its step; StepStaged likewise skips a transition led by another task's
+// literal before calling its guard. Both skips are exact: ir's && and the
+// compiled ones short-circuit left to right, and task == "lit" cannot fail,
+// so a transition whose leading leaf is false evaluates nothing further and
+// cannot fire.
 
 package codegen
 
@@ -54,6 +65,8 @@ type Frame struct {
 	ev    ir.Event
 	// evSeq tags the staged event (see StageEvent); 0 means untagged.
 	evSeq uint64
+	// task is the staged event's task id in the stepping program's table.
+	task  TaskID
 	fails []ir.Failure
 	err   error
 }
@@ -61,15 +74,17 @@ type Frame struct {
 // NewFrame returns an empty scratch frame.
 func NewFrame() *Frame { return &Frame{} }
 
-// StageEvent loads *ev into the frame's event slot for StepStaged, unless
-// the frame already holds the event tagged with this (non-zero) sequence
-// number. Monitors sharing one frame pay the event copy — a struct with a
-// string field, so a write-barriered store — once per event instead of once
-// per machine. ev is taken by pointer so the no-op case costs a compare,
-// not a 64-byte argument copy; the pointer itself is never retained.
-func (fr *Frame) StageEvent(ev *ir.Event, seq uint64) {
+// StageEvent loads *ev and its task id for StepStaged, unless the frame
+// already holds the event tagged with this (non-zero) sequence number. task
+// must be ev.Task resolved by the Program whose machines step the frame
+// (Program.TaskID). Monitors sharing one frame pay the event copy — a
+// struct with a string field, so a write-barriered store — once per event
+// instead of once per machine. ev is taken by pointer so the no-op case
+// costs a compare, not a 64-byte argument copy; the pointer itself is never
+// retained.
+func (fr *Frame) StageEvent(ev *ir.Event, seq uint64, task TaskID) {
 	if fr.evSeq != seq || seq == 0 {
-		fr.ev, fr.evSeq = *ev, seq
+		fr.ev, fr.evSeq, fr.task = *ev, seq, task
 	}
 }
 
@@ -85,18 +100,25 @@ type stmtFn func(fr *Frame)
 type Machine struct {
 	name   string
 	states []cstate
+	tasks  taskTable
 }
 
 type cstate struct {
 	name  string
 	trans []ctrans
+	// cand holds, for a start and for an end event, the union of tasks over
+	// the transitions whose trigger matches that kind.
+	cand [2]uint64
 }
 
 type ctrans struct {
 	trigger ir.Trigger
-	guard   boolFn // nil means always
-	target  int
-	body    []stmtFn
+	// tasks has bit id set for every TaskID the transition can fire on:
+	// only its leading literal's, or all of them.
+	tasks  uint64
+	guard  boolFn // nil means always
+	target int
+	body   []stmtFn
 }
 
 // Name returns the machine name.
@@ -108,8 +130,21 @@ func (cm *Machine) Name() string { return cm.name }
 // transition the event is accepted silently. The returned slice aliases the
 // frame's scratch buffer and is valid until the next Step on that frame.
 func (cm *Machine) Step(fr *Frame, sl Slots, ev ir.Event) ([]ir.Failure, error) {
-	fr.ev, fr.evSeq = ev, 0
+	fr.ev, fr.evSeq, fr.task = ev, 0, cm.tasks.id(ev.Task)
 	return cm.StepStaged(fr, sl)
+}
+
+// Candidate reports whether a transition of the given state can fire on an
+// event of this kind whose task resolves to task. When it reports false,
+// StepStaged would evaluate no guard past its leading task literal, fire
+// nothing and return no failure and no error, so the caller may skip it. An
+// invalid state and a kind other than start or end are always candidates:
+// the step reports the one and matches only anyEvent triggers on the other.
+func (cm *Machine) Candidate(state int, kind ir.EventKind, task TaskID) bool {
+	if uint(state) >= uint(len(cm.states)) || uint(kind) > uint(ir.EvEnd) {
+		return true
+	}
+	return cm.states[state].cand[kind]>>task&1 != 0
 }
 
 // StepStaged is Step for an event already loaded with StageEvent. Splitting
@@ -134,7 +169,7 @@ func (cm *Machine) StepStaged(fr *Frame, sl Slots) ([]ir.Failure, error) {
 	kind := fr.ev.Kind
 	for i := range st.trans {
 		tr := &st.trans[i]
-		if !tr.trigger.Matches(kind) || tr.guard != nil && !tr.guard(fr) {
+		if tr.tasks>>fr.task&1 == 0 || !tr.trigger.Matches(kind) || tr.guard != nil && !tr.guard(fr) {
 			continue
 		}
 		// A generic guard that fails holds with fr.err set (see cond), so
@@ -155,21 +190,30 @@ func (cm *Machine) StepStaged(fr *Frame, sl Slots) ([]ir.Failure, error) {
 }
 
 // Program is a compiled ir.Program: one compiled machine per source
-// machine, in source order.
+// machine, in source order, sharing one task table.
 type Program struct {
 	machines []*Machine
+	tasks    taskTable
 }
 
 // Machine returns the compiled machine at source index i.
 func (p *Program) Machine(i int) *Machine { return p.machines[i] }
+
+// TaskID resolves an event's task against the program's task table. A
+// monitor set resolves each event once and hands the id to every machine's
+// Candidate and to StageEvent.
+func (p *Program) TaskID(task string) TaskID { return p.tasks.id(task) }
 
 // CompileProgram closure-compiles every machine of a program. It fails on
 // the first machine CompileMachine rejects; a checked program always
 // compiles.
 func CompileProgram(p *ir.Program) (*Program, error) {
 	out := &Program{machines: make([]*Machine, len(p.Machines))}
+	for _, m := range p.Machines {
+		out.tasks.intern(m)
+	}
 	for i, m := range p.Machines {
-		cm, err := CompileMachine(m)
+		cm, err := compileMachine(m, out.tasks)
 		if err != nil {
 			return nil, err
 		}
@@ -178,12 +222,18 @@ func CompileProgram(p *ir.Program) (*Program, error) {
 	return out, nil
 }
 
-// CompileMachine closure-compiles one machine. It fails on constructs whose
-// compiled form could diverge from the interpreter — undeclared or
-// string-typed variables, unknown statement or expression nodes,
-// unresolvable transition targets — exactly the set ir.Machine.Check
-// rejects; checked machines always compile.
+// CompileMachine closure-compiles one machine, with a task table of its
+// own. It fails on constructs whose compiled form could diverge from the
+// interpreter — undeclared or string-typed variables, unknown statement or
+// expression nodes, unresolvable transition targets — exactly the set
+// ir.Machine.Check rejects; checked machines always compile.
 func CompileMachine(m *ir.Machine) (*Machine, error) {
+	var tasks taskTable
+	tasks.intern(m)
+	return compileMachine(m, tasks)
+}
+
+func compileMachine(m *ir.Machine, tasks taskTable) (*Machine, error) {
 	cc := &compiler{m: m, slots: make(map[string]int, len(m.Vars))}
 	for i, v := range m.Vars {
 		if v.Type == ir.TString {
@@ -191,7 +241,7 @@ func CompileMachine(m *ir.Machine) (*Machine, error) {
 		}
 		cc.slots[v.Name] = i
 	}
-	cm := &Machine{name: m.Name, states: make([]cstate, len(m.States))}
+	cm := &Machine{name: m.Name, states: make([]cstate, len(m.States)), tasks: tasks}
 	for si, st := range m.States {
 		cs := cstate{name: st.Name, trans: make([]ctrans, len(st.Transitions))}
 		for ti := range st.Transitions {
@@ -200,7 +250,12 @@ func CompileMachine(m *ir.Machine) (*Machine, error) {
 			if target < 0 {
 				return nil, fmt.Errorf("codegen: machine %s: transition to unknown state %q", m.Name, tr.Target)
 			}
-			ct := ctrans{trigger: tr.Trigger, target: target}
+			ct := ctrans{trigger: tr.Trigger, tasks: tasks.candidates(tr.Guard), target: target}
+			for k := range cs.cand {
+				if tr.Trigger.Matches(ir.EventKind(k)) {
+					cs.cand[k] |= ct.tasks
+				}
+			}
 			if tr.Guard != nil {
 				g, err := cc.cond(tr.Guard)
 				if err != nil {

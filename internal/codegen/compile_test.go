@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/ir"
@@ -190,8 +191,9 @@ func eventStream(seed int64, n int) []ir.Event {
 // diffStep drives one event through both engines and fails the test on any
 // observable divergence: failures, errors, state index, or variable words.
 // Both engines keep stepping after an error — the partial writes an
-// aborted body leaves behind must match too.
-func diffStep(t *testing.T, m *ir.Machine, env *ir.VolatileEnv, cm *Machine, fr *Frame, sl *VolatileSlots, ev ir.Event) {
+// aborted body leaves behind must match too. It returns the interpreter's
+// result.
+func diffStep(t *testing.T, m *ir.Machine, env *ir.VolatileEnv, cm *Machine, fr *Frame, sl *VolatileSlots, ev ir.Event) ([]ir.Failure, error) {
 	t.Helper()
 	wantFs, wantErr := ir.Step(m, env, ev)
 	gotFs, gotErr := cm.Step(fr, sl, ev)
@@ -222,6 +224,7 @@ func diffStep(t *testing.T, m *ir.Machine, env *ir.VolatileEnv, cm *Machine, fr 
 			t.Fatalf("%v: var %q divergence: interpreter %#x, compiled %#x", ev, v.Name, bits, got)
 		}
 	}
+	return wantFs, wantErr
 }
 
 func TestCompiledMatchesInterpreter(t *testing.T) {
@@ -304,12 +307,24 @@ func TestCompileMachineRejectsUncheckable(t *testing.T) {
 // FuzzStepEquivalence fuzzes event streams through both engines over the
 // whole corpus — the seed corpus runs in tier-1 `go test`, and the weekly
 // deep-chaos job extends it (-fuzz). Any divergence in failures, errors,
-// states, or variable words is a bug in one engine or the other.
+// states, or variable words is a bug in one engine or the other. It also
+// holds the task table to the interpreter: an event that Candidate rules
+// out in the machine's current state leaves ir.Step's state and variables
+// unchanged, with no failure and no error. The alphabet's "idle" is a task
+// no guard names, so it resolves to id 0.
 func FuzzStepEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), []byte("send/50"))
 	f.Add(int64(42), uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(int64(7), uint8(5), []byte("div/0 mod/7 narrow/49.5"))
 	f.Add(int64(-3), uint8(2), []byte{0xff, 0x80, 0x01})
+	// The guards machine's Busy state rules out every start and every end
+	// but work's: start work, then start sample, send and idle and end
+	// sample there. The fallback machine's reversed "lit" == task guards
+	// are generic closures, some of which fail past their leading literal:
+	// every task as start and end (bytes 0-21).
+	f.Add(int64(3), uint8(2), []byte{4, 0, 2, 20, 1, 5})
+	f.Add(int64(5), uint8(6), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21})
+	f.Add(int64(11), uint8(6), []byte("div/0 idle trip/1 mod/3"))
 	type engine struct {
 		m   *ir.Machine
 		cm  *Machine
@@ -332,7 +347,7 @@ func FuzzStepEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		e := engine{m: m, cm: cm, env: ir.NewVolatileEnv(m), sl: sl, fr: NewFrame()}
-		tasks := []string{"sample", "send", "work", "mul", "mod", "div", "widen", "narrow", "neg", "trip"}
+		tasks := []string{"sample", "send", "work", "mul", "mod", "div", "widen", "narrow", "neg", "trip", "idle"}
 		r := rand.New(rand.NewSource(seed))
 		for i, b := range raw {
 			ev := ir.Event{
@@ -343,9 +358,31 @@ func FuzzStepEquivalence(f *testing.F) {
 				Data:   float64(int8(b)) / 2.0,
 				Energy: float64(r.Intn(100)),
 			}
-			diffStep(t, e.m, e.env, e.cm, e.fr, e.sl, ev)
+			ruledOut := !e.cm.Candidate(e.sl.StateIdx(), ev.Kind, e.cm.tasks.id(ev.Task))
+			before := envWords(t, e.m, e.env)
+			fs, err := diffStep(t, e.m, e.env, e.cm, e.fr, e.sl, ev)
+			if ruledOut && (len(fs) != 0 || err != nil || !slices.Equal(envWords(t, e.m, e.env), before)) {
+				t.Fatalf("%v: ruled out in %s, but the interpreter moved: failures %v, error %v, words %#x -> %#x",
+					ev, e.m.States[before[0]].Name, fs, err, before, envWords(t, e.m, e.env))
+			}
 		}
 	})
+}
+
+// envWords returns an interpreter env's state index followed by its
+// encoded variables, in declaration order.
+func envWords(t *testing.T, m *ir.Machine, env *ir.VolatileEnv) []uint64 {
+	t.Helper()
+	words := []uint64{uint64(env.State())}
+	for _, v := range m.Vars {
+		val, _ := env.GetVar(v.Name)
+		bits, err := val.Encode()
+		if err != nil {
+			t.Fatalf("encode %s: %v", v.Name, err)
+		}
+		words = append(words, bits)
+	}
+	return words
 }
 
 func TestCompiledStepZeroAlloc(t *testing.T) {

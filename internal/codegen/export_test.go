@@ -45,3 +45,9 @@ func GenericSites(m *ir.Machine) (generic []string, sites int) {
 	}
 	return generic, sites
 }
+
+// TransitionTasks returns the task ids transition trans of state can fire
+// on, bit id set per TaskID.
+func TransitionTasks(cm *Machine, state, trans int) uint64 {
+	return cm.states[state].trans[trans].tasks
+}

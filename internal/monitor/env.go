@@ -116,16 +116,25 @@ func (e *persistentEnv) SetState(i int) { e.setWord(wordState, uint64(int64(i)))
 func (e *persistentEnv) lastSeq() uint64       { return e.word(wordLastSeq) }
 func (e *persistentEnv) setLastSeq(seq uint64) { e.setWord(wordLastSeq, seq) }
 
+// storedVerdicts decodes the verdicts of the last processed event for a
+// replay. A fault can corrupt any word of the region, so the count is
+// clamped as the unsigned word it is stored as (as an int, a flipped top
+// bit would turn it negative), and a verdict whose action does not decode
+// is dropped: a device cannot act on it.
 func (e *persistentEnv) storedVerdicts() []ir.Failure {
-	n := int(e.word(wordVerdicts))
+	n := e.word(wordVerdicts)
 	if n > maxVerdicts {
 		n = maxVerdicts
 	}
 	out := make([]ir.Failure, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < int(n); i++ {
+		a := actionFromWord(e.word(wordVerdict0 + 2*i))
+		if !a.Valid() {
+			continue
+		}
 		out = append(out, ir.Failure{
 			Machine: e.m.Name,
-			Action:  actionFromWord(e.word(wordVerdict0 + 2*i)),
+			Action:  a,
 			Path:    int(int64(e.word(wordVerdict0 + 2*i + 1))),
 		})
 	}

@@ -46,33 +46,37 @@ func (m *Monitor) Machine() *ir.Machine { return m.machine }
 // Binding returns the property binding the monitor checks.
 func (m *Monitor) Binding() transform.Binding { return m.binding }
 
-// Deliver processes one event exactly once. If the event was already
+// deliver processes one event exactly once. If the event was already
 // processed before a power failure interrupted the set, the committed
-// verdict is returned without re-stepping the machine.
-func (m *Monitor) Deliver(ev Event) ([]ir.Failure, error) {
+// verdict is returned without re-stepping the machine. task is the event's
+// task resolved by the set's program (codegen.Program.TaskID).
+func (m *Monitor) deliver(ev *Event, task codegen.TaskID) ([]ir.Failure, error) {
 	if ev.Seq == 0 {
 		return nil, fmt.Errorf("monitor: event sequence numbers start at 1")
 	}
 	if m.env.lastSeq() == ev.Seq {
 		return m.env.storedVerdicts(), nil
 	}
-	// Capture the pre-step state only when tracing; replayed deliveries
-	// return above, so a transition is emitted exactly once per step.
-	var before int
-	if m.tel != nil {
-		before = m.env.State()
-	}
+	// The pre-step state selects the candidate transitions, and the trace
+	// reports a move from it; replayed deliveries return above, so a
+	// transition is emitted exactly once per step.
+	before := m.env.StateIdx()
 	var fs []ir.Failure
 	var err error
-	if m.compiled != nil {
+	switch {
+	case m.compiled == nil:
+		fs, err = ir.Step(m.machine, &m.env, ev.Event)
+	case m.compiled.Candidate(before, ev.Kind, task):
 		// The frame is shared by the whole set; tagging the staged event
 		// with its sequence number makes the copy happen once per event,
 		// not once per monitor.
-		m.frame.StageEvent(&ev.Event, ev.Seq)
+		m.frame.StageEvent(&ev.Event, ev.Seq, task)
 		fs, err = m.compiled.StepStaged(m.frame, &m.env)
-	} else {
-		fs, err = ir.Step(m.machine, &m.env, ev.Event)
 	}
+	// Otherwise no transition of the current state can fire on the event,
+	// and the step is skipped. The quiet step it would have been stages no
+	// word, so the verdicts, sequence number and commit below write the
+	// same image for the same charge either way.
 	if err != nil {
 		return nil, err
 	}
@@ -128,6 +132,9 @@ func (m *Monitor) VarValue(name string) (ir.Value, bool) { return m.env.GetVar(n
 // generated from the property specification, each with persistent state.
 type Set struct {
 	monitors []*Monitor
+	// prog steps the monitors; Deliver resolves each event's task against
+	// its task table once, for every monitor.
+	prog *codegen.Program
 	// scratch backs the slice Deliver returns; see Deliver's contract.
 	scratch []ir.Failure
 }
@@ -153,7 +160,7 @@ func NewSet(mem *nvm.Memory, res *transform.Result) (*Set, error) {
 	// One backing array holds every Monitor of the set; the pointer slice
 	// preserves stable *Monitor identities for inspectors and swaps.
 	backing := make([]Monitor, len(res.Program.Machines))
-	s := &Set{monitors: make([]*Monitor, 0, len(backing))}
+	s := &Set{monitors: make([]*Monitor, 0, len(backing)), prog: prog}
 	for i, m := range res.Program.Machines {
 		mon := &backing[i]
 		if err := mon.env.init(mem, Owner, m); err != nil {
@@ -229,16 +236,19 @@ func (s *Set) Rollback() {
 // Deliver sends one event to every monitor and returns all signalled
 // failures. It is idempotent per event sequence number, so re-delivery
 // after a power failure finalises interrupted processing without
-// double-stepping any machine.
+// double-stepping any machine. A monitor whose current state has no
+// transition that can fire on the event skips its FSM step
+// (codegen.Machine.Candidate) but stages and commits the same words.
 //
 // The returned slice aliases the set's reusable scratch and is valid only
 // until the next Deliver on this set — the same contract as
 // codegen.Machine.Step. Callers that need the failures past that point
 // must copy them.
 func (s *Set) Deliver(ev Event) ([]ir.Failure, error) {
+	task := s.prog.TaskID(ev.Task)
 	all := s.scratch[:0]
 	for _, m := range s.monitors {
-		fs, err := m.Deliver(ev)
+		fs, err := m.deliver(&ev, task)
 		if err != nil {
 			return nil, err
 		}

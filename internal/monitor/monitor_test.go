@@ -536,3 +536,56 @@ machine Duo {
 		t.Fatalf("second verdict = %v", first[1])
 	}
 }
+
+// TestReplayOfFlippedWordIsDecodable flips, one at a time, every bit of
+// every word of a committed monitor image that holds a verdict, then
+// reboots and re-delivers the event that verdict answered, as the runtime
+// does after a power failure. The replay may return an error or other
+// verdicts, but it must not crash the host, and every verdict it returns
+// must carry an action the runtime can take.
+func TestReplayOfFlippedWordIsDecodable(t *testing.T) {
+	const machine = "maxTries_accel"
+	ev := startEv(2, "accel", 2*simclock.Second, 2)
+	deploy := func() (*nvm.Memory, *Set) {
+		mem := nvm.New(64 * 1024)
+		s := compileSet(t, mem, `accel { maxTries: 1 onFail: skipPath; }`)
+		if _, err := s.Deliver(startEv(1, "accel", simclock.Second, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if fs, err := s.Deliver(ev); err != nil || len(fs) != 1 {
+			t.Fatalf("verdict = %v, %v; want one skipPath", fs, err)
+		}
+		return mem, s
+	}
+	_, s := deploy()
+	words := s.Monitor(machine).env.c.Size() / 8
+	for w := 0; w < words; w++ {
+		for bit := 0; bit < 64; bit++ {
+			mem, s := deploy()
+			// The flip lands in both halves, so the committed one holds it
+			// whichever the selector names.
+			for _, a := range mem.Allocations() {
+				if a.Name == machine+".a" || a.Name == machine+".b" {
+					mem.FlipBit(a.Off+8*w+bit/8, uint(bit%8))
+				}
+			}
+			s.Rollback()
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("word %d bit %d: replay panicked: %v", w, bit, r)
+					}
+				}()
+				fs, _ := s.Deliver(ev)
+				if len(fs) > maxVerdicts {
+					t.Errorf("word %d bit %d: %d verdicts replayed, max %d", w, bit, len(fs), maxVerdicts)
+				}
+				for _, f := range fs {
+					if !f.Action.Valid() {
+						t.Errorf("word %d bit %d: replayed verdict %v has no valid action", w, bit, f)
+					}
+				}
+			}()
+		}
+	}
+}
