@@ -383,6 +383,40 @@ func BenchmarkSetDeliver(b *testing.B) {
 	}
 }
 
+// BenchmarkDeploy measures deployment build, the device-step layer a
+// Deployer's re-arming replaces, on every example case: "new" builds a
+// deployment of the case's deployer configuration with core.New and
+// releases its image, the path every crash point and fleet device-step
+// took before; "rearm" deploys through the deployer, which re-arms the
+// deployment the previous op released, and releases it again.
+func BenchmarkDeploy(b *testing.B) {
+	for _, c := range examplespecs.All() {
+		d := examplespecs.NewDeployer(c)
+		cfg, err := d.Config()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []struct {
+			name   string
+			deploy func() (*core.Framework, error)
+		}{
+			{"new", func() (*core.Framework, error) { return core.New(cfg) }},
+			{"rearm", func() (*core.Framework, error) { return d.Deploy(nil) }},
+		} {
+			b.Run(c.Name+"/"+m.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					f, err := m.deploy()
+					if err != nil {
+						b.Fatal(err)
+					}
+					f.Release()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkAblationCoupledCheck measures Mayfly-style inline property
 // checking (one coupled pass over the constraint list), the architecture
 // the paper argues against; compare with the decoupled monitor benchmarks.

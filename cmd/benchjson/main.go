@@ -88,7 +88,7 @@ type Speedup struct {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	var (
-		bench      = fs.String("bench", "ExhaustiveSweep|FlipCampaign|FleetSteps|FleetServer|NVMWrite|NVMHash|NVMRehash|Commit|SingleRun|OcelotRun|PersistentMonitor|CompiledMonitor|SetDeliver|SpecCompile|Telemetry|SpecSwap", "benchmark filter passed to go test -bench")
+		bench      = fs.String("bench", "ExhaustiveSweep|FlipCampaign|FleetSteps|FleetServer|NVMWrite|NVMHash|NVMRehash|Commit|SingleRun|OcelotRun|PersistentMonitor|CompiledMonitor|SetDeliver|SpecCompile|Telemetry|SpecSwap|Deploy", "benchmark filter passed to go test -bench")
 		benchtime  = fs.String("benchtime", "", "passed to go test -benchtime; empty = the go test default")
 		pkg        = fs.String("pkg", ".", "package to benchmark")
 		out        = fs.String("o", "BENCH_8.json", "output path; - = stdout")

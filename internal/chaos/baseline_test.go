@@ -16,7 +16,14 @@ import (
 // evaluation property set, under the given supply. Every output must equal
 // the reference, and the health counters must count each task once.
 func baselineExplorer(sys core.System, supply core.SupplyConfig) *Explorer {
-	e := NewExplorer(examplespecs.Health(), func(cfg *core.Config) {
+	e := explorerOf(baselineDeployer(sys, supply), examplespecs.Health().Counters)
+	e.Workers = 2
+	return e
+}
+
+// baselineDeployer deploys the health benchmark as baselineExplorer does.
+func baselineDeployer(sys core.System, supply core.SupplyConfig) *examplespecs.Deployer {
+	return examplespecs.NewDeployer(examplespecs.Health()).With(continuous(func(cfg *core.Config) {
 		cfg.System, cfg.Compiled, cfg.Supply = sys, nil, supply
 		switch sys {
 		case core.Mayfly:
@@ -24,9 +31,7 @@ func baselineExplorer(sys core.System, supply core.SupplyConfig) *Explorer {
 		case core.Ocelot:
 			cfg.FreshnessBounds = freshness.HealthBounds()
 		}
-	})
-	e.Workers = 2
-	return e
+	}))
 }
 
 // TestOcelotExhaustiveCrashExploration sweeps every persistent write of the

@@ -358,8 +358,7 @@ func (r *FlipReport) String() string {
 // Unrecoverable verdict carries the device's last persisted events in the
 // report.
 func NewFlipCampaign(c examplespecs.Case, seed int64, runs int, withIntegrity bool, flightDepth int) *FlipCampaign {
-	d := examplespecs.NewDeployer(c)
-	adjust := func(cfg *core.Config) {
+	d := examplespecs.NewDeployer(c).With(func(cfg *core.Config) {
 		cfg.Supply = core.SupplyConfig{
 			Kind:     core.SupplyFixedDelay,
 			BudgetUJ: 800,
@@ -372,9 +371,9 @@ func NewFlipCampaign(c examplespecs.Case, seed int64, runs int, withIntegrity bo
 			cfg.Telemetry = true
 			cfg.FlightDepth = flightDepth
 		}
-	}
+	})
 	return &FlipCampaign{
-		Build:         func() (*core.Framework, error) { return d.Deploy(adjust) },
+		Build:         func() (*core.Framework, error) { return d.Deploy(nil) },
 		Keys:          storeKeys(d),
 		Runs:          runs,
 		Seed:          seed,
@@ -404,6 +403,7 @@ func (c *FlipCampaign) Run() (*FlipReport, error) {
 	}
 	writes := int(f.MCU().Mem.Stats().Writes - base)
 	ref := capture(f, rep, c.Keys)
+	f.Release()
 
 	// Draw every run's fault up front, sequentially, from the campaign
 	// RNG: the sampled (point, seed) sequence is then a function of the
@@ -473,6 +473,11 @@ func (c *FlipCampaign) Run() (*FlipReport, error) {
 				v.recov = true
 			default:
 				v.masked = diverged(c.Keys, ref, capture(f, rep, c.Keys)) == ""
+			}
+			if rep != nil {
+				// The run ended without an uncontrolled panic, so its
+				// deployment is whole: the next run may re-arm it.
+				f.Release()
 			}
 			return v, nil
 		})

@@ -30,11 +30,16 @@ func storeKeys(d *examplespecs.Deployer) []string {
 // reference run's after any single crash (consistency), and the case's
 // Counters key the idempotence oracle.
 func NewExplorer(c examplespecs.Case, mut func(cfg *core.Config)) *Explorer {
-	d := examplespecs.NewDeployer(c)
-	adjust := continuous(mut)
+	return explorerOf(examplespecs.NewDeployer(c).With(continuous(mut)), c.Counters)
+}
+
+// explorerOf is the crash explorer over d's deployments, with exact
+// counters. The reference run's deployment and every point's are d's
+// Deploy(nil), so each point resumes on a re-armed deployment.
+func explorerOf(d *examplespecs.Deployer, counters []string) *Explorer {
 	return &Explorer{
-		Build:     func() (*core.Framework, error) { return d.Deploy(adjust) },
+		Build:     func() (*core.Framework, error) { return d.Deploy(nil) },
 		Keys:      storeKeys(d),
-		ExactKeys: c.Counters,
+		ExactKeys: counters,
 	}
 }

@@ -169,20 +169,21 @@ func (r *ExploreReport) String() string {
 	return b.String()
 }
 
-// Explorer enumerates power failures at NVM-write granularity against a
-// deployment built fresh for every crash point.
+// Explorer enumerates power failures at NVM-write granularity, each crash
+// point on its own deployment that has not run.
 //
 // The reference run is recorded (core.Framework.Checkpoint), and every
-// crash point k resumes its fresh deployment from the state the reference
-// run had right after write k, instead of running writes 1..k again. A
+// crash point k resumes its deployment from the state the reference run
+// had right after write k, instead of running writes 1..k again. A
 // deployment Checkpoint refuses, and every point in Bytes mode, is
-// replayed instead: the fresh deployment runs from the start with a power
+// replayed instead: the deployment runs from the start with a power
 // failure injected after write (or byte) k. Both reach the same state, so
 // reports do not depend on which one ran.
 type Explorer struct {
-	// Build constructs a fresh deployment. It must be deterministic: every
-	// call yields a run that performs the identical persistent write
-	// sequence when uninterrupted.
+	// Build returns a deployment that has not run: a new one, or one an
+	// earlier point released, re-armed (examplespecs.Deployer.Deploy(nil)).
+	// It must be deterministic: every call yields a run that performs the
+	// identical persistent write sequence when uninterrupted.
 	Build func() (*core.Framework, error)
 
 	// Keys are the store outputs captured into each Outcome. Every one
@@ -240,10 +241,10 @@ type Explorer struct {
 	PostOracles []string
 
 	// Workers is how many crash points to explore concurrently. 0 or 1
-	// explores serially. Each worker replays on its own freshly built
-	// deployment, and point results are aggregated in schedule order, so
-	// the report is byte-identical at any worker count. The schedule
-	// itself (sampling, pruning) is decided before the fan-out.
+	// explores serially. Each point runs on its own deployment, and point
+	// results are aggregated in schedule order, so the report is
+	// byte-identical at any worker count. The schedule itself (sampling,
+	// pruning) is decided before the fan-out.
 	Workers int
 }
 
@@ -263,8 +264,8 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every early return hands the reference image back to the pool; the
-	// success path releases it sooner, before the fan-out, and Release is
+	// Every early return releases the reference deployment; the success
+	// path releases it sooner, before the fan-out, and Release is
 	// idempotent.
 	defer f.Release()
 	mem := f.MCU().Mem
@@ -331,8 +332,9 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 		out.WindowLo, out.WindowHi = lo, hi
 	}
 
-	// The reference run is fully captured; recycle its NVM image so the
-	// sweep's first point reuses it instead of allocating a fresh one.
+	// The reference run is fully captured; release its deployment so the
+	// sweep's first point re-arms it (or reuses its image) instead of
+	// building one.
 	f.Release()
 
 	schedule, pruned := e.schedule(lo, hi, hashes)
@@ -434,20 +436,21 @@ func (e *Explorer) explorePoint(k int, ref Outcome, rec *core.Recording, hashes 
 			pr.Failures = append(pr.Failures, e.PostCheck(f, ref, got)...)
 		}
 	}
-	// Everything oracle-relevant is copied out of the framework; hand the
-	// NVM image back to the pool for the next point. This is what keeps an
-	// exhaustive sweep from allocating one full FRAM image per crash point.
+	// Everything oracle-relevant is copied out of the framework; release
+	// it for the next point to re-arm. This is what keeps an exhaustive
+	// sweep from building one deployment per crash point.
 	f.Release()
 	return pr, nil
 }
 
-// crashRun builds a fresh deployment and runs it through a power failure
-// right after write (or, in Bytes mode, byte) k of the reference run. With
-// a recording it resumes from the recorded crash state k; hashes, when
-// pruning, are the reference run's image hashes per write. Without one it
-// replays: the deployment runs from the start and the failure is injected
-// at k. A run-level error is returned as an atomicity failure in pr with a
-// nil report; the framework is the caller's to release.
+// crashRun deploys with Build and runs the deployment through a power
+// failure right after write (or, in Bytes mode, byte) k of the reference
+// run. With a recording it resumes from the recorded crash state k;
+// hashes, when pruning, are the reference run's image hashes per write.
+// Without one it replays: the deployment runs from the start and the
+// failure is injected at k. A run-level error is returned as an atomicity
+// failure in pr with a nil report; the framework is the caller's to
+// release.
 func (e *Explorer) crashRun(k int, rec *core.Recording, hashes []uint64) (*core.Framework, *core.Report, PointResult, error) {
 	pr := PointResult{Point: k}
 	f, err := e.Build()

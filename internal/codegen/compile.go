@@ -88,6 +88,12 @@ func (fr *Frame) StageEvent(ev *ir.Event, seq uint64, task TaskID) {
 	}
 }
 
+// Unstage drops the staged event's tag, so the next StageEvent loads its
+// event whatever its sequence number. The frame is volatile scratch, like
+// SRAM: a power failure must not leave an event a later delivery could
+// mistake for its own.
+func (fr *Frame) Unstage() { fr.evSeq = 0 }
+
 // frameFn evaluates one compiled expression; on a runtime error it sets
 // fr.err and returns the zero Value.
 type frameFn func(fr *Frame) ir.Value

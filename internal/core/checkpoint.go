@@ -46,7 +46,7 @@ type Recording struct {
 	// tracer states index.
 	tel *telemetry.Tracer
 	// base is the recorded deployment's FRAM counters before its run: a
-	// fresh deployment of the same configuration has the same.
+	// new or re-armed deployment of the same configuration has the same.
 	base nvm.Stats
 }
 
@@ -89,22 +89,7 @@ func (f *Framework) Checkpoint() (*Recording, error) {
 	if f.started {
 		return nil, errors.New("core: Checkpoint must come before Run")
 	}
-	var reason string
-	switch {
-	case f.otaMgr != nil:
-		reason = "an OTA manager allocates FRAM mid-run"
-	case f.remote != nil:
-		reason = "remote monitors hold a radio link's random source and retry state"
-	case f.cfg.OnDecision != nil:
-		reason = "an OnDecision observer would miss the decisions before the crash"
-	case f.mcu.Mem.HasAccessObserver():
-		reason = "an access observer keeps per-attempt state of the run before the crash"
-	default:
-		if err := f.dev.Checkpointable(); err != nil {
-			reason = err.Error()
-		}
-	}
-	if reason != "" {
+	if reason := f.refusal(); reason != "" {
 		return nil, &CheckpointError{Reason: reason}
 	}
 	r := spare.Swap(nil)
@@ -121,22 +106,65 @@ func (f *Framework) Checkpoint() (*Recording, error) {
 	return r, nil
 }
 
+// refusal says why the deployment's crash states cannot be copied, or
+// returns "" when they can (see Checkpoint).
+func (d *deployment) refusal() string {
+	switch {
+	case d.otaMgr != nil:
+		return "an OTA manager allocates FRAM mid-run"
+	case d.remote != nil:
+		return "remote monitors hold a radio link's random source and retry state"
+	case d.cfg.OnDecision != nil:
+		return "an OnDecision observer would miss the decisions before the crash"
+	case d.mcu.Mem.HasAccessObserver():
+		return "an access observer keeps per-attempt state of the run before the crash"
+	}
+	if err := d.dev.Checkpointable(); err != nil {
+		return err.Error()
+	}
+	return ""
+}
+
+// hostState returns the deployment's host-side state.
+func (d *deployment) hostState() hostState {
+	h := hostState{tel: d.tel.State(), injected: d.injected}
+	if d.art != nil {
+		h.art = d.art.Stats()
+	}
+	if d.may != nil {
+		h.may = d.may.Stats()
+	}
+	if d.fresh != nil {
+		h.fresh = d.fresh.Stats()
+	}
+	if d.integ != nil {
+		h.integ = d.integ.HostState()
+	}
+	return h
+}
+
+// setHostState puts h back into the deployment, all but the tracer's part,
+// which needs the tracer h was taken from (telemetry.Tracer.Restore).
+func (d *deployment) setHostState(h *hostState) {
+	if d.art != nil {
+		d.art.SetStats(h.art)
+	}
+	if d.may != nil {
+		d.may.SetStats(h.may)
+	}
+	if d.fresh != nil {
+		d.fresh.SetStats(h.fresh)
+	}
+	if d.integ != nil {
+		d.integ.SetHostState(h.integ)
+	}
+	d.injected = h.injected
+}
+
 // capture records f's crash state after a FRAM write.
 func (r *Recording) capture(f *Framework) {
 	r.dev.Capture(f.dev)
-	h := hostState{tel: f.tel.State(), injected: f.injected}
-	if f.art != nil {
-		h.art = f.art.Stats()
-	}
-	if f.may != nil {
-		h.may = f.may.Stats()
-	}
-	if f.fresh != nil {
-		h.fresh = f.fresh.Stats()
-	}
-	if f.integ != nil {
-		h.integ = f.integ.HostState()
-	}
+	h := f.hostState()
 	if n := len(r.host); n == 0 || !r.host[n-1].equal(&h) {
 		r.host = append(r.host, h)
 	}
@@ -160,8 +188,11 @@ func (r *Recording) Release() {
 
 // Resume runs this framework from crash state k of rec (1 ≤ k ≤
 // rec.Writes()): the state the recorded run had right after its k-th FRAM
-// write, with the power failing there. The framework must be a fresh
-// deployment of the recorded configuration that has not run. The report
+// write, with the power failing there. The framework must be a deployment
+// of the recorded configuration that has not run: fresh from New, or
+// re-armed by a Pool, and neither run nor resumed since. Its FRAM counters
+// must read what the recorded deployment's read before its run, and it
+// has a tracer exactly when the recorded one had. The report
 // and every later observation of the framework are those a run crashed
 // after write k would give, except that the report's Breakdown,
 // Footprints and Wear are nil: crash sweeps resume thousands of runs and
@@ -171,7 +202,7 @@ func (f *Framework) Resume(rec *Recording, k int) (*Report, error) {
 	case f.started:
 		return nil, errors.New("core: Resume needs a framework that has not run")
 	case f.mcu.Mem.Stats() != rec.base || (f.tel == nil) != (rec.tel == nil):
-		return nil, errors.New("core: Resume needs a fresh deployment of the recorded configuration")
+		return nil, errors.New("core: Resume needs a new or re-armed deployment of the recorded configuration")
 	case k < 1 || k > rec.Writes():
 		return nil, fmt.Errorf("core: crash state %d outside a recording of %d writes", k, rec.Writes())
 	}
@@ -180,20 +211,8 @@ func (f *Framework) Resume(rec *Recording, k int) (*Report, error) {
 		return nil, err
 	}
 	h := &rec.host[rec.hostAt[k-1]]
-	if f.art != nil {
-		f.art.SetStats(h.art)
-	}
-	if f.may != nil {
-		f.may.SetStats(h.may)
-	}
-	if f.fresh != nil {
-		f.fresh.SetStats(h.fresh)
-	}
-	if f.integ != nil {
-		f.integ.SetHostState(h.integ)
-	}
+	f.setHostState(h)
 	f.tel.Restore(rec.tel, h.tel)
-	f.injected = h.injected
 	res, err := f.dev.Resume(f.rt.Boot, &rec.dev, k)
 	return f.report(res, err)
 }

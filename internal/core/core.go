@@ -236,8 +236,23 @@ type Report struct {
 	OTA *ota.Stats
 }
 
-// Framework is an assembled deployment ready to run.
+// Framework is a handle on an assembled deployment, ready to run. New
+// builds one; so does a Pool's Deploy, which may hand out a deployment an
+// earlier handle released, re-armed to its post-construction state.
 type Framework struct {
+	*deployment
+	// released makes Release one-shot per handle. The Memory has its own
+	// double-put guard, but that flag is cleared when the pool hands the
+	// image to the next deployment, and a Pool hands the whole deployment
+	// to its next user under a new handle — a second Release through a
+	// stale handle would then push an in-use image or deployment back into
+	// its pool. This flag pins idempotence to the handle the caller
+	// actually holds.
+	released bool
+}
+
+// deployment is the assembled deployment a Framework handle reaches.
+type deployment struct {
 	cfg   Config
 	mcu   *device.MCU
 	dev   *device.Device
@@ -255,12 +270,8 @@ type Framework struct {
 	tel    *telemetry.Tracer
 	otaMgr *ota.Manager
 
-	// released makes Release one-shot. The Memory has its own double-put
-	// guard, but that flag is cleared when the pool hands the image to the
-	// next deployment — a second Release through a stale Framework handle
-	// would then push an in-use image back into the pool. This flag pins
-	// idempotence to the handle the caller actually holds.
-	released bool
+	// pool is the Pool that built the deployment, nil for New's.
+	pool *Pool
 	// injected counts events delivered through InjectEvent, so external
 	// sequence numbers keep advancing past the runtime's persistent counter.
 	injected uint64
@@ -314,12 +325,12 @@ func New(cfg Config) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Framework{
+	f := &Framework{deployment: &deployment{
 		cfg:   cfg,
 		mcu:   mcu,
 		dev:   &device.Device{MCU: mcu, MaxReboots: cfg.MaxReboots},
 		store: store,
-	}
+	}}
 	var tel *telemetry.Tracer
 	if cfg.Telemetry || cfg.FlightDepth > 0 {
 		tel = telemetry.New()
@@ -561,18 +572,24 @@ func buildSupply(sc SupplyConfig) (energy.Supply, error) {
 	}
 }
 
-// Release returns the framework's NVM image to the allocation pool. Call it
-// when the framework — and everything read from it (store values, reports,
-// monitor inspection) — is done; the memory may be handed to the next
-// deployment immediately. Sweeps and benchmarks that build thousands of
-// frameworks use it to stop re-allocating (and re-zeroing) 256 KiB images.
-// Release is idempotent: calling it again on the same Framework is a no-op,
-// even after the pool has already handed the image to a new deployment.
+// Release ends the handle. A deployment a Pool built goes back to that
+// pool when the pool can re-arm it (see Pool); any other returns its NVM
+// image to the allocation pool. Call it when the framework — and
+// everything read from it (store values, reports, monitor inspection) — is
+// done; the deployment or its memory may be handed to the next user
+// immediately. Sweeps and benchmarks that build thousands of frameworks
+// use it to stop re-allocating (and re-zeroing) 256 KiB images, or
+// rebuilding whole deployments. Release is idempotent: calling it again on
+// the same Framework is a no-op, even after the pool has already handed
+// the image or the deployment to a new user.
 func (f *Framework) Release() {
 	if f.released {
 		return
 	}
 	f.released = true
+	if f.pool != nil && f.pool.put(f.deployment) {
+		return
+	}
 	f.mcu.Mem.Release()
 }
 

@@ -94,8 +94,8 @@ func (d *Device) Checkpointable() error {
 }
 
 // Capture appends the device's current crash state to l. Call it right
-// after a FRAM write, where a write crash hook would fire, on a device
-// Checkpointable accepts.
+// after a FRAM write, where a write crash hook would fire, or before the
+// device first runs, on a device Checkpointable accepts.
 func (l *CrashLog) Capture(d *Device) {
 	m := d.MCU
 	clock, _ := m.Clock.State()
@@ -136,20 +136,18 @@ func delta32(a, b int64) int32 {
 	return int32(d)
 }
 
-// Resume continues a Run from crash state k of l (1-based: the state right
-// after the k-th write the log recorded) as if the power had failed there.
-// The device's FRAM must already hold the image and counters of that
-// instant (see nvm.Memory.Restore), and the device must be built like the
-// logged one.
-//
-// Resume restores the clock, the supply and the MCU, then closes the
-// scopes that were open at the write, innermost first, with the same
-// SetComponent calls the failure's unwinding makes: each may flush pending
-// FRAM energy into the supply and brown out again, which is recovered as
-// Run recovers it. It then reboots and runs boot like Run.
-func (d *Device) Resume(boot func() error, l *CrashLog, k int) (RunResult, error) {
+// Restore puts the device into crash state k of l (1-based: the state
+// right after the k-th write the log recorded) without running anything:
+// the clock, the supply, the MCU's attribution state and the Run's
+// bookkeeping. The device's FRAM must already hold the image and counters
+// of that instant (see nvm.Memory.Restore), from which the FRAM traffic
+// the MCU had not charged yet is derived, and the device must be built
+// like the logged one. Resume continues a Run from there; a log of a
+// device that has not run yet holds its post-construction state, which a
+// released deployment is re-armed to.
+func (d *Device) Restore(l *CrashLog, k int) error {
 	if k < 1 || k > len(l.hot) {
-		return RunResult{}, fmt.Errorf("device: crash state %d outside a log of %d", k, len(l.hot))
+		return fmt.Errorf("device: crash state %d outside a log of %d", k, len(l.hot))
 	}
 	h := &l.hot[k-1]
 	c := &l.cold[h.cold]
@@ -176,7 +174,22 @@ func (d *Device) Resume(boot func() error, l *CrashLog, k int) (RunResult, error
 	m.failAfter, m.failArmed = c.failAfter, c.failArmed
 	m.gen++
 	d.run = c.run
-	for len(m.scopes) > 0 {
+	return nil
+}
+
+// Resume continues a Run from crash state k of l as if the power had
+// failed there (see Restore for what it puts back and what it needs).
+//
+// After restoring the device it closes the scopes that were open at the
+// write, innermost first, with the same SetComponent calls the failure's
+// unwinding makes: each may flush pending FRAM energy into the supply and
+// brown out again, which is recovered as Run recovers it. It then reboots
+// and runs boot like Run.
+func (d *Device) Resume(boot func() error, l *CrashLog, k int) (RunResult, error) {
+	if err := d.Restore(l, k); err != nil {
+		return RunResult{}, err
+	}
+	for len(d.MCU.scopes) > 0 {
 		d.attempt(d.leave)
 	}
 	if !d.reboot() {

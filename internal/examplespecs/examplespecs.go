@@ -69,8 +69,16 @@ func healthCounters() []string { return []string{"tempCount", "micData", "accelD
 // tasks keep their state in the store, so building them per deployment
 // would only make garbage: crash sweeps, fault campaigns and fleet steps
 // deploy through it.
+//
+// Deploy(nil) goes further: a deployment it built goes back to the
+// Deployer on Release, and the next Deploy(nil) re-arms it to its
+// post-construction state instead of building another (core.Pool), so a
+// crash point or a fleet device-step builds no deployment at all. An
+// adjustment every deployment shares belongs in the configuration (With),
+// so that its deployments are re-armed too.
 type Deployer struct {
-	cfg core.Config
+	cfg  core.Config
+	pool *core.Pool
 	// err is the case's build or compile error; Config and Deploy return
 	// it, so constructors that cannot fail still report it on first use.
 	err error
@@ -93,23 +101,40 @@ func NewDeployer(c Case) *Deployer {
 	if err != nil {
 		return &Deployer{err: fmt.Errorf("examplespecs: case %s: %w", c.Name, err)}
 	}
-	return &Deployer{cfg: cfg}
+	return &Deployer{cfg: cfg, pool: core.NewPool(cfg)}
+}
+
+// With returns a Deployer of the same case whose configuration is a copy
+// of d's adjusted by mut once, sharing d's compiled program: sweeps that
+// adjust every deployment the same way (continuous power, a baseline
+// runtime) deploy through it with Deploy(nil). A Deployer with an error
+// returns itself.
+func (d *Deployer) With(mut func(cfg *core.Config)) *Deployer {
+	if d.err != nil {
+		return d
+	}
+	cfg := d.cfg
+	mut(&cfg)
+	return &Deployer{cfg: cfg, pool: core.NewPool(cfg)}
 }
 
 // Config returns a copy of the case's configuration with its compiled
 // program attached, or the case's build or compile error.
 func (d *Deployer) Config() (core.Config, error) { return d.cfg, d.err }
 
-// Deploy builds one deployment; mut, when non-nil, adjusts its copy of the
-// configuration first.
+// Deploy returns one deployment that has not run. With a nil mut it is
+// built from the Deployer's configuration or re-armed (see Deployer);
+// otherwise mut adjusts a copy of the configuration first, and the
+// deployment is built with core.New.
 func (d *Deployer) Deploy(mut func(cfg *core.Config)) (*core.Framework, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	cfg := d.cfg
-	if mut != nil {
-		mut(&cfg)
+	if mut == nil {
+		return d.pool.Deploy()
 	}
+	cfg := d.cfg
+	mut(&cfg)
 	return core.New(cfg)
 }
 

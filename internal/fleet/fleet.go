@@ -10,20 +10,22 @@
 //
 // Devices are assigned to shards in contiguous index blocks. Each shard
 // owns its digest scratch and counters exclusively and reuses them across
-// steps; FRAM images come from the process-wide recycle pool behind
-// core.New (nvm.NewPooled) and go back to it after every device run. A step
-// schedules one task per shard across internal/parallel's bounded worker
-// pool.
+// steps. A device run deploys through its case's examplespecs.Deployer,
+// shared by every shard, and releases the deployment to it once the digest
+// is taken; the deployer re-arms it for the next run of the case (see
+// core.Pool). A step schedules one task per shard across
+// internal/parallel's bounded worker pool.
 //
 // # Determinism
 //
 // Every device run is fully independent — its own memory image, clock, and
-// seeded supply — and a recycled image is indistinguishable from a fresh
-// one, so a device's outcome digest does not depend on which shard ran it,
-// which worker ran the shard, or how often its image was recycled. Digests
-// are folded in device-index order. The fleet digest is therefore
-// byte-identical at any shard and worker count; fleet_test.go holds the
-// engine to that, including under the race detector.
+// seeded supply — and a re-armed deployment or a recycled image is
+// indistinguishable from a fresh one, so a device's outcome digest does not
+// depend on which shard ran it, which worker ran the shard, or which
+// deployment it ran on. Digests are folded in device-index order. The fleet
+// digest is therefore byte-identical at any shard and worker count;
+// fleet_test.go holds the engine to that, including under the race
+// detector.
 package fleet
 
 import (
@@ -60,9 +62,9 @@ type Config struct {
 	Members []Member
 	// PostRun, when non-nil, observes every completed device run while the
 	// framework and its FRAM image are still alive — after Framework.Run,
-	// before the outcome digest folds the image hash and the image returns
-	// to the recycle pool. Within a shard it is called sequentially in
-	// device-index order (the engine's deterministic drain order); distinct
+	// before the outcome digest folds the image hash and the deployment is
+	// released. Within a shard it is called sequentially in device-index
+	// order (the engine's deterministic drain order); distinct
 	// shards call it concurrently, so the hook must only touch per-index
 	// state or synchronise. State the hook mutates through the framework
 	// (e.g. events injected via core.Framework.InjectEvent) lands in the
@@ -327,8 +329,7 @@ func (sh *shard) step(ctx context.Context) error {
 }
 
 // stepDevice executes one device run and returns the outcome digest. The
-// device's FRAM image goes back to the recycle pool once the digest is
-// taken.
+// deployment goes back to its deployer once the digest is taken.
 func (sh *shard) stepDevice(d *device) (uint64, error) {
 	f, err := d.deploy.Deploy(nil)
 	if err != nil {
@@ -336,7 +337,7 @@ func (sh *shard) stepDevice(d *device) (uint64, error) {
 	}
 	defer f.Release()
 	mem := f.MCU().Mem
-	if mem.Recycled() {
+	if mem.Recycled() { // re-armed, or built on a recycled image
 		sh.stats.Recycled++
 	}
 	rep, err := f.Run()

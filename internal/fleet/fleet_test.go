@@ -330,12 +330,12 @@ func TestFleetDevicesShareCompiledProgram(t *testing.T) {
 
 // fleetStepAllocBudget caps the allocations of one Engine.Step over a
 // six-device fleet, one device per example case. The measured count is
-// ~222. Building each case's configuration per step again (Case.Config
-// instead of a copy of the deployer's) costs ~90 more, and compiling any
-// case per step again hundreds more; building each committed region's
-// allocation names or each MCU's accumulators on the heap again costs tens
-// per device, which the budget also catches.
-const fleetStepAllocBudget = 260
+// ~82: each device-step re-arms the deployment its case's deployer got
+// back from the previous step. Building every device with core.New per
+// step again, instead of re-arming, costs ~140 more (~222 in all), which
+// the budget catches; building each case's configuration or compiling any
+// case per step again costs more still.
+const fleetStepAllocBudget = 120
 
 func TestFleetStepAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -353,7 +353,7 @@ func TestFleetStepAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step() // warm the image pool before measuring
+	step() // warm the deployers' pools before measuring
 	avg := testing.AllocsPerRun(20, step)
 	t.Logf("fleet step over %d devices: %.0f allocs (budget %d)", e.Devices(), avg, fleetStepAllocBudget)
 	if avg > fleetStepAllocBudget {

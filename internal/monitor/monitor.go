@@ -135,6 +135,8 @@ type Set struct {
 	// prog steps the monitors; Deliver resolves each event's task against
 	// its task table once, for every monitor.
 	prog *codegen.Program
+	// frame is the scratch frame every monitor steps in.
+	frame *codegen.Frame
 	// scratch backs the slice Deliver returns; see Deliver's contract.
 	scratch []ir.Failure
 }
@@ -160,7 +162,7 @@ func NewSet(mem *nvm.Memory, res *transform.Result) (*Set, error) {
 	// One backing array holds every Monitor of the set; the pointer slice
 	// preserves stable *Monitor identities for inspectors and swaps.
 	backing := make([]Monitor, len(res.Program.Machines))
-	s := &Set{monitors: make([]*Monitor, 0, len(backing)), prog: prog}
+	s := &Set{monitors: make([]*Monitor, 0, len(backing)), prog: prog, frame: frame}
 	for i, m := range res.Program.Machines {
 		mon := &backing[i]
 		if err := mon.env.init(mem, Owner, m); err != nil {
@@ -225,9 +227,13 @@ func (s *Set) Reset() {
 	}
 }
 
-// Rollback discards uncommitted staging in every monitor; the runtime calls
-// it on every reboot before re-delivering the in-flight event.
+// Rollback discards uncommitted staging in every monitor, and the event
+// the set's frame holds; the runtime calls it on every boot before its
+// first delivery. The frame is SRAM: a deployment re-armed for its next
+// user would otherwise step a machine on the previous user's event
+// wherever the two users' sequence numbers coincide. The clear is free.
 func (s *Set) Rollback() {
+	s.frame.Unstage()
 	for _, m := range s.monitors {
 		m.Rollback()
 	}

@@ -119,7 +119,8 @@ type Memory struct {
 	commChunks [][]Committed
 	// pooled marks memories born from NewPooled; released guards against
 	// double-Release putting one Memory into the pool twice; recycled marks
-	// a Memory NewPooled served from the pool rather than allocating.
+	// a Memory NewPooled served from the pool, or Rearm re-armed, rather
+	// than one that was allocated.
 	pooled   bool
 	released bool
 	recycled bool
@@ -224,8 +225,8 @@ func (m *Memory) Release() {
 }
 
 // Recycled reports whether NewPooled served this Memory from the recycle
-// pool instead of allocating it. Purely diagnostic: a recycled image is
-// indistinguishable from a fresh one.
+// pool, or Rearm re-armed it, instead of allocating it. Purely diagnostic:
+// a recycled image is indistinguishable from a fresh one.
 func (m *Memory) Recycled() bool { return m.recycled }
 
 // reset returns a recycled Memory to the fresh-from-New state: an empty
@@ -1046,11 +1047,18 @@ func (c *Committed) PeekCommitted(p []byte) {
 	if len(p) > c.size {
 		panic(fmt.Sprintf("nvm: committed-image peek of %d bytes out of size %d", len(p), c.size))
 	}
+	copy(p, c.image())
+}
+
+// image returns the last committed image in place, chosen by a selector
+// read that is neither charged nor counted: the host-side view
+// PeekCommitted, ViewCommitted and Memory.Rearm share.
+func (c *Committed) image() []byte {
 	r := &c.a
 	if c.sel.mem.data[c.sel.off] != 0 {
 		r = &c.b
 	}
-	copy(p, r.mem.data[r.off:r.off+len(p)])
+	return r.mem.data[r.off : r.off+c.size : r.off+c.size]
 }
 
 // ViewCommitted runs fn while every committed region of m reads as its last
@@ -1064,11 +1072,7 @@ func (m *Memory) ViewCommitted(fn func()) {
 	for _, ch := range m.commChunks {
 		for j := range ch {
 			c := &ch[j]
-			r := &c.a
-			if m.data[c.sel.off] != 0 {
-				r = &c.b
-			}
-			c.held, c.stage = c.stage, m.data[r.off:r.off+c.size:r.off+c.size]
+			c.held, c.stage = c.stage, c.image()
 		}
 	}
 	defer func() {

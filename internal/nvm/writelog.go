@@ -107,7 +107,7 @@ func (m *Memory) logWrite(idx, off int, p []byte) {
 // Restore puts m into the state the logged memory had right after its
 // k-th logged write (k = 0 is the state when logging started): the image,
 // the per-allocation wear and the access counters. m must have the logged
-// memory's allocation layout, which a fresh deployment of the same
+// memory's allocation layout, which every deployment of the same
 // configuration has by construction.
 //
 // The hash cache is invalidated. Hooks and observers are untouched.
@@ -148,6 +148,31 @@ func (m *Memory) Restore(l *WriteLog, k int) error {
 		m.stats.BytesWritten += int64(e.delta[3])
 	}
 	m.stale = true
+	return nil
+}
+
+// Rearm puts m back into the state l logged at write 0, for the next
+// deployment of the configuration m was built for: l holds the state right
+// after construction (Log, then StopLog, before anything ran). The image,
+// the per-allocation wear and the access counters are restored as Restore
+// does; every committed region's stage is reloaded from its committed
+// image without a charge, as construction left it; and every hook,
+// observer and log is cleared. m then counts as recycled: the deployment
+// allocated no image.
+func (m *Memory) Rearm(l *WriteLog) error {
+	if err := m.Restore(l, 0); err != nil {
+		return err
+	}
+	m.crashAfter, m.crashHook = 0, nil
+	m.writeCrashAfter, m.writeCrashHook = 0, nil
+	m.observer, m.access = nil, nil
+	m.StopLog()
+	for _, ch := range m.commChunks {
+		for j := range ch {
+			copy(ch[j].stage, ch[j].image())
+		}
+	}
+	m.recycled = true
 	return nil
 }
 

@@ -6,9 +6,8 @@
 // transfer rolls back to the previous bundle; the device is never left on
 // a hybrid image.
 //
-// This is ROADMAP open item 3 — the paper's adaptability claim made
-// operational: the monitor program changes on a running intermittent
-// device without reflashing, without missing events, and with crash
+// This makes the paper's adaptability claim operational: the monitor
+// program changes on a running intermittent device without reflashing, without missing events, and with crash
 // exploration proving the swap atomic at every NVM byte (the swap explorer
 // in internal/chaos/swap_test.go: chaos.NewExplorer at byte granularity,
 // windowed to the swap, with a swap oracle).

@@ -14,7 +14,8 @@ type FleetShard struct {
 	Completed     uint64
 	NonTerminated uint64
 	Reboots       uint64
-	// Recycled counts the device runs whose FRAM image the process-wide
-	// recycle pool served (nvm.Memory.Recycled) instead of allocating one.
+	// Recycled counts the device runs that allocated no FRAM image
+	// (nvm.Memory.Recycled): a re-armed deployment, or a new one on an
+	// image the process-wide recycle pool served.
 	Recycled uint64
 }
